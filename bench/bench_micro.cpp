@@ -1,9 +1,9 @@
 /**
  * @file
  * Google-benchmark microbenchmarks for the hot substrate paths: integer
- * GEMM (dispatched SIMD tier; force one with CREATE_FORCE_ISA), the
- * cross-episode batched-GEMM data path, fault injection, the full faulty
- * pipeline, the systolic model, Hadamard rotation, single model
+ * GEMM (dispatched SIMD tier; force one with CREATE_FORCE_ISA), fault
+ * injection, the full faulty pipeline, the systolic model, Hadamard
+ * rotation, single model
  * inferences, and the episode evaluation engine (serial vs parallel
  * fan-out).
  *
@@ -20,7 +20,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <map>
 #include <memory>
 #include <string>
@@ -62,153 +61,6 @@ BM_IntGemm(benchmark::State& state)
     state.SetItemsProcessed(state.iterations() * n * n * n);
 }
 BENCHMARK(BM_IntGemm)->Arg(32)->Arg(64)->Arg(128);
-
-/**
- * Ghost-batching harness: the BatchedInferenceQueue's fused data path
- * (gather the B requests' rows into staging, one wide kernel call, memcpy
- * the row slices back) run deterministically on one thread, so the m-row
- * fusion win is measured without scheduler noise. B = 1 is the unfused
- * baseline (the queue's solo path: direct call, no staging) -- compare
- * per-request time across B.
- */
-struct GhostBatch
-{
-    struct Shape
-    {
-        std::int64_t m, k, n;
-    };
-
-    GhostBatch(std::vector<Shape> seq, int batch)
-        : seq_(std::move(seq)), batch_(batch)
-    {
-        std::size_t mxk = 0, mxn = 0;
-        for (const Shape& s : seq_) {
-            w_.emplace_back(static_cast<std::size_t>(s.k * s.n));
-            mxk = std::max(mxk, static_cast<std::size_t>(s.m * s.k));
-            mxn = std::max(mxn, static_cast<std::size_t>(s.m * s.n));
-        }
-        int v = 1;
-        for (auto& w : w_)
-            for (auto& b : w)
-                b = static_cast<std::int8_t>((v = v * 75 % 65537) % 255 -
-                                             127);
-        x_.resize(static_cast<std::size_t>(batch_) * mxk);
-        for (std::size_t i = 0; i < x_.size(); ++i)
-            x_[i] = static_cast<std::int8_t>((v = v * 75 % 65537) % 255 -
-                                             127);
-        acc_.resize(static_cast<std::size_t>(batch_) * mxn);
-        stageX_.resize(x_.size());
-        stageAcc_.resize(acc_.size());
-    }
-
-    void run()
-    {
-        for (std::size_t li = 0; li < seq_.size(); ++li) {
-            const Shape& s = seq_[li];
-            const std::int8_t* wq = w_[li].data();
-            if (batch_ == 1) {
-                std::memset(acc_.data(), 0,
-                            static_cast<std::size_t>(s.m * s.n) *
-                                sizeof(std::int32_t));
-                simd::active().intGemm(x_.data(), s.m, s.k, wq, s.n,
-                                       acc_.data());
-                continue;
-            }
-            const std::int64_t mTotal = s.m * batch_;
-            for (int b = 0; b < batch_; ++b)
-                std::memcpy(stageX_.data() + b * s.m * s.k,
-                            x_.data() + b * s.m * s.k,
-                            static_cast<std::size_t>(s.m * s.k));
-            std::memset(stageAcc_.data(), 0,
-                        static_cast<std::size_t>(mTotal * s.n) *
-                            sizeof(std::int32_t));
-            simd::active().intGemm(stageX_.data(), mTotal, s.k, wq, s.n,
-                                   stageAcc_.data());
-            for (int b = 0; b < batch_; ++b)
-                std::memcpy(acc_.data() + b * s.m * s.n,
-                            stageAcc_.data() + b * s.m * s.n,
-                            static_cast<std::size_t>(s.m * s.n) *
-                                sizeof(std::int32_t));
-        }
-        benchmark::DoNotOptimize(acc_.data());
-    }
-
-    std::vector<Shape> seq_;
-    int batch_;
-    std::vector<std::vector<std::int8_t>> w_;
-    std::vector<std::int8_t> x_;
-    std::vector<std::int32_t> acc_;
-    std::vector<std::int8_t> stageX_;
-    std::vector<std::int32_t> stageAcc_;
-};
-
-/** One controller-scale projection fused across B concurrent episodes. */
-void
-BM_IntGemmBatched(benchmark::State& state)
-{
-    const int B = static_cast<int>(state.range(0));
-    GhostBatch gb({{3, 64, 192}}, B);
-    for (auto _ : state)
-        gb.run();
-    // items/s = fused GEMM requests served per second; batching shows up
-    // as superlinear items/s versus the B=1 row.
-    state.SetItemsProcessed(state.iterations() * B);
-}
-BENCHMARK(BM_IntGemmBatched)->Arg(1)->Arg(4)->Arg(8)->Arg(16);
-
-/**
- * B concurrent planner inferences, fused per layer: the full GEMM
- * program of one parallel-decode planner forward (2 LLaMA blocks at
- * dim 64 / MLP 192 over 14 tokens + head). The planner prompt is
- * already 14 rows wide, so its fused win is modest by design -- the
- * per-step controller program below is where cross-episode batching
- * pays (see README "Performance engineering").
- */
-void
-BM_PlannerInferenceBatched(benchmark::State& state)
-{
-    const int B = static_cast<int>(state.range(0));
-    std::vector<GhostBatch::Shape> seq;
-    for (int layer = 0; layer < 2; ++layer) {
-        for (int p = 0; p < 4; ++p)
-            seq.push_back({14, 64, 64}); // Q, K, V, O
-        seq.push_back({14, 64, 192});    // gate
-        seq.push_back({14, 64, 192});    // up
-        seq.push_back({14, 192, 64});    // down
-    }
-    seq.push_back({14, 64, 26}); // head
-    GhostBatch gb(std::move(seq), B);
-    for (auto _ : state)
-        gb.run();
-    state.SetItemsProcessed(state.iterations() * B);
-}
-BENCHMARK(BM_PlannerInferenceBatched)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
-
-/**
- * B concurrent controller steps, fused per layer: the GEMM program of
- * one inferLogits (2 blocks at dim 48 / MLP 144 over 3 tokens + head).
- * Small-m steps dominate episode inference, and their fused win is the
- * headline batching number (>=1.3x per request at B=4 on AVX2+).
- */
-void
-BM_ControllerStepBatched(benchmark::State& state)
-{
-    const int B = static_cast<int>(state.range(0));
-    std::vector<GhostBatch::Shape> seq;
-    for (int layer = 0; layer < 2; ++layer) {
-        for (int p = 0; p < 4; ++p)
-            seq.push_back({3, 48, 48});
-        seq.push_back({3, 48, 144});
-        seq.push_back({3, 48, 144});
-        seq.push_back({3, 144, 48});
-    }
-    seq.push_back({3, 48, 9}); // action head
-    GhostBatch gb(std::move(seq), B);
-    for (auto _ : state)
-        gb.run();
-    state.SetItemsProcessed(state.iterations() * B);
-}
-BENCHMARK(BM_ControllerStepBatched)->Arg(1)->Arg(4)->Arg(8);
 
 void
 BM_Injection(benchmark::State& state)

@@ -74,7 +74,6 @@ struct BenchOptions
     std::string storePath; //!< --out <path>: SweepRunner episode store
     bool resume = false;   //!< --resume: reuse ledgers already in the store
     bool progress = false; //!< --progress: stderr status line per flush
-    bool batched = true;   //!< --no-batch: disable cross-episode fusion
     int flushEvery = 16;   //!< --flush-every N: episodes per store flush
     int shardIndex = 0;    //!< --shard i/N: this process's partition
     int shardCount = 1;
@@ -97,7 +96,6 @@ sweepOptions(const BenchOptions& o)
 {
     SweepRunner::Options so;
     so.threads = o.threads;
-    so.batched = o.batched;
     so.storePath = o.storePath;
     so.resume = o.resume;
     so.progress = o.progress;
@@ -187,7 +185,7 @@ setupImpl(const Cli& cli, const char* artifact, int defaultReps,
                 "                 (the coordinator owns the store; "
                 "replaces --out/--resume/--shard/--lease)\n"
                 "  --progress     one stderr status line per flush "
-                "(episodes/s, success, ETA, GEMM fusion)\n"
+                "(episodes/s, success, ETA)\n"
                 "  --flush-every N  episodes per store flush (default "
                 "16)\n"
                 "  --store-format F  on-disk format when --out creates "
@@ -195,9 +193,7 @@ setupImpl(const Cli& cli, const char* artifact, int defaultReps,
                 "                 interchange) or binlog (per-writer "
                 "append logs, O(batch) flushes);\n"
                 "                 an existing store keeps its detected "
-                "format\n"
-                "  --no-batch     disable cross-episode GEMM fusion "
-                "(bit-identical; for A/B timing)\n");
+                "format\n");
         std::printf("%s", extraHelp ? extraHelp : "");
         std::exit(0);
     }
@@ -211,7 +207,6 @@ setupImpl(const Cli& cli, const char* artifact, int defaultReps,
         o.storePath = cli.str("out", "");
         o.resume = cli.flag("resume");
         o.progress = cli.flag("progress");
-        o.batched = !cli.flag("no-batch");
         o.flushEvery = static_cast<int>(cli.integer("flush-every", 16));
         const std::string shard = cli.str("shard", "");
         if (!shard.empty()) {

@@ -64,9 +64,6 @@ MineSystem::runEpisode(int taskId, std::uint64_t seed,
 {
     ComputeContext plannerCtx(seed ^ 0x9A9A1ull);
     ComputeContext controllerCtx(seed ^ 0x7B7B2ull);
-    // Cross-episode GEMM fusion (null = direct dispatch; bit-identical).
-    plannerCtx.gemmSink = gemmSink();
-    controllerCtx.gemmSink = gemmSink();
     cfg.applyTo(plannerCtx, /*isPlanner=*/true);
     cfg.applyTo(controllerCtx, /*isPlanner=*/false);
 

@@ -91,10 +91,8 @@ EmbodiedSystem::runEpisodes(int taskId, const CreateConfig& cfg, int reps,
         // every reps change would dwarf the episodes themselves).
         const int wanted = std::min(evalThreads_, reps);
         if (!evaluator_ || evaluator_->threads() < wanted ||
-            evaluator_->threads() > evalThreads_ ||
-            evaluator_->batched() != batchedInference_)
-            evaluator_ = std::make_unique<ParallelEvaluator>(
-                *this, wanted, batchedInference_);
+            evaluator_->threads() > evalThreads_)
+            evaluator_ = std::make_unique<ParallelEvaluator>(*this, wanted);
         return evaluator_->runEpisodes(taskId, cfg, reps, seed0, sink);
     }
     prepare(cfg);
@@ -129,18 +127,6 @@ void
 EmbodiedSystem::setEvalThreads(int n)
 {
     evalThreads_ = n < 1 ? 1 : n;
-}
-
-void
-EmbodiedSystem::setBatchedInference(bool on)
-{
-    batchedInference_ = on;
-}
-
-BatchStats
-EmbodiedSystem::batchStats() const
-{
-    return evaluator_ ? evaluator_->batchStats() : BatchStats{};
 }
 
 } // namespace create

@@ -115,7 +115,7 @@ ManipSystem::runEpisode(int taskId, std::uint64_t seed,
         taskId, seed, cfg,
         EpisodeSalts{0x111ull, 0x222ull, 0x333ull, 0x444ull},
         planner(cfg.weightRotation), *shared_->controller,
-        cfg.voltageScaling ? &predictor() : nullptr, gemmSink());
+        cfg.voltageScaling ? &predictor() : nullptr);
 }
 
 } // namespace create

@@ -113,7 +113,7 @@ NavSystem::runEpisode(int taskId, std::uint64_t seed,
         taskId, seed, cfg,
         EpisodeSalts{0x555ull, 0x666ull, 0x777ull, 0x888ull},
         planner(cfg.weightRotation), *shared_->controller,
-        cfg.voltageScaling ? &predictor() : nullptr, gemmSink());
+        cfg.voltageScaling ? &predictor() : nullptr);
 }
 
 } // namespace create

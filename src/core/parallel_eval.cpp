@@ -14,32 +14,19 @@ ParallelEvaluator::defaultThreads()
 }
 
 ParallelEvaluator::ParallelEvaluator(const EmbodiedSystem& prototype,
-                                     int threads, bool batched)
+                                     int threads)
 {
     if (threads <= 0)
         threads = defaultThreads();
     // Replica construction is O(1) (shared frozen model set), but stays
     // on the calling thread: any lazy model build triggered later runs
     // in prepare(), also serially.
-    if (batched && threads > 1)
-        queue_ = std::make_unique<BatchedInferenceQueue>();
     replicas_.reserve(static_cast<std::size_t>(threads));
-    for (int t = 0; t < threads; ++t) {
+    for (int t = 0; t < threads; ++t)
         replicas_.push_back(prototype.replicate());
-        // Replicas share frozen weights by pointer, so concurrent
-        // requests group on (wq, k, n) across workers (see
-        // core/batched_queue.hpp).
-        replicas_.back()->setGemmSink(queue_.get());
-    }
     workers_.reserve(replicas_.size());
     for (std::size_t w = 0; w < replicas_.size(); ++w)
         workers_.emplace_back(&ParallelEvaluator::workerLoop, this, w);
-}
-
-BatchStats
-ParallelEvaluator::batchStats() const
-{
-    return queue_ ? queue_->stats() : BatchStats{};
 }
 
 ParallelEvaluator::~ParallelEvaluator()
@@ -70,20 +57,12 @@ ParallelEvaluator::workerLoop(std::size_t workerIdx)
             job = job_;
         }
         try {
-            // Register as a batch submitter only while holding episodes:
-            // the queue dispatches a fused GEMM as soon as every
-            // registered worker has submitted, so a drained worker must
-            // deregister (RAII -- exception-safe) or it would stall its
-            // peers into the batch-window timeout.
-            BatchedInferenceQueue::WorkerScope scope(queue_.get());
             for (;;) {
                 const int i = nextEpisode_.fetch_add(1);
                 if (i >= job.reps)
                     break;
                 EpisodeResult& slot = (*job.out)[static_cast<std::size_t>(i)];
-                // Each episode runs wholly on this worker thread (the
-                // fused-batch kernel may execute on a peer, but only this
-                // thread's faultyLinear calls record here), so the
+                // Each episode runs wholly on this worker thread, so the
                 // thread-local registry attributes counters to exactly
                 // this episode.
                 MetricsRegistry& reg = MetricsRegistry::tls();

@@ -48,7 +48,7 @@ EpisodeResult
 runDecodedPlanEpisode(int taskId, std::uint64_t seed,
                       const CreateConfig& cfg, const EpisodeSalts& salts,
                       PlannerModel& planner, ControllerModel& controller,
-                      EntropyPredictor* pred, IntGemmSink* gemmSink = nullptr)
+                      EntropyPredictor* pred)
 {
     EpisodeResult r;
     typename Traits::World world(static_cast<typename Traits::Task>(taskId),
@@ -59,10 +59,6 @@ runDecodedPlanEpisode(int taskId, std::uint64_t seed,
     plannerCtx.domain = Domain::Planner;
     controllerCtx.domain = Domain::Controller;
     predictorCtx.domain = Domain::Predictor;
-    // Cross-episode GEMM fusion (null = direct dispatch; bit-identical).
-    plannerCtx.gemmSink = gemmSink;
-    controllerCtx.gemmSink = gemmSink;
-    predictorCtx.gemmSink = gemmSink;
     cfg.applyTo(plannerCtx, /*isPlanner=*/true);
     cfg.applyTo(controllerCtx, /*isPlanner=*/false);
 

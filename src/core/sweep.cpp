@@ -305,29 +305,38 @@ class SweepRunner::CoordSink : public EpisodeSink
         // Worker attribution, same contract as elastic mode: a string
         // field the diff/stat folds never compare.
         jr.strings.emplace_back("by", runner_.workerId_);
-        records.push_back(std::move(jr));
-        if (!broken &&
-            records.size() - sent_ >=
-                static_cast<std::size_t>(runner_.opt_.flushEvery)) {
-            const std::vector<JsonRecord> out(
-                records.begin() + static_cast<std::ptrdiff_t>(sent_),
-                records.end());
-            std::string err;
-            if (client_.send(out, &err)) {
-                sent_ = records.size();
-            } else {
-                broken = true;
-                std::fprintf(stderr,
-                             "[sweep] coordinator send failed mid-range "
-                             "(%s); finishing the range for re-send\n",
-                             err.c_str());
+        bool flushed = false;
+        {
+            // Episodes complete on the evaluator's worker threads; the
+            // range buffer, the send cursor and the client are shared.
+            std::lock_guard<std::mutex> lock(mu_);
+            records.push_back(std::move(jr));
+            if (!broken &&
+                records.size() - sent_ >=
+                    static_cast<std::size_t>(runner_.opt_.flushEvery)) {
+                const std::vector<JsonRecord> out(
+                    records.begin() + static_cast<std::ptrdiff_t>(sent_),
+                    records.end());
+                std::string err;
+                if (client_.send(out, &err)) {
+                    sent_ = records.size();
+                } else {
+                    broken = true;
+                    std::fprintf(stderr,
+                                 "[sweep] coordinator send failed "
+                                 "mid-range (%s); finishing the range "
+                                 "for re-send\n",
+                                 err.c_str());
+                }
+                flushed = true;
             }
-            if (runner_.opt_.progress)
-                runner_.progressLine();
         }
+        if (flushed && runner_.opt_.progress)
+            runner_.progressLine();
     }
 
-    /** Records not yet on the wire (tail of the range). */
+    /** Records not yet on the wire (tail of the range); call after the
+     *  range's runEpisodes() has returned. */
     std::vector<JsonRecord> unsent() const
     {
         return {records.begin() + static_cast<std::ptrdiff_t>(sent_),
@@ -340,6 +349,7 @@ class SweepRunner::CoordSink : public EpisodeSink
     Ledger& ledger_;
     const PaperEnergyModel& energy_;
     CoordClient& client_;
+    std::mutex mu_; //!< guards records, sent_, broken and client_ sends
     std::size_t sent_ = 0;
 };
 
@@ -1043,7 +1053,6 @@ SweepRunner::runElastic(std::vector<WorkUnit>& units)
         // within the unit via the episode-parallel engine.
         proto->prepare(c.cfg);
         proto->setEvalThreads(opt_.threads);
-        proto->setBatchedInference(opt_.batched);
         runUnit(*unit, *proto);
         std::lock_guard<std::mutex> io(storeIoMu_);
         activeLeases_.erase(unit->fingerprint);
@@ -1156,7 +1165,6 @@ SweepRunner::runConnected(std::vector<WorkUnit>& units)
         if (preparedFp != fp) {
             proto->prepare(c.cfg);
             proto->setEvalThreads(opt_.threads);
-            proto->setBatchedInference(opt_.batched);
             preparedFp = fp;
         }
         CoordSink sink(*this, unit.fingerprint, *unit.led,
@@ -1301,14 +1309,6 @@ SweepRunner::progressLine()
                       static_cast<double>(flips) /
                           static_cast<double>(done));
     }
-    // GEMM-fusion health of the batched inference path (absent when the
-    // episode fan-out or batching never engaged this campaign).
-    const BatchStats bs = batchStats();
-    char batch[64] = "";
-    if (bs.requests > 0)
-        std::snprintf(batch, sizeof(batch),
-                      ", batch avg %.2f fill %.0f%%", bs.avgBatch(),
-                      100.0 * bs.fillRate());
     // Lease telemetry (elastic mode only): ledgers taken over from dead
     // or stale workers, and foreign lease expiries observed.
     char lease[48] = "";
@@ -1317,29 +1317,12 @@ SweepRunner::progressLine()
                       leasesStolen_.load(), leasesExpired_.load());
     std::fprintf(stderr,
                  "[sweep] progress: ledgers %zu/%zu, episodes %lld/%lld, "
-                 "%.1f eps/s, success %.1f%%%s%s%s, eta %s\n",
+                 "%.1f eps/s, success %.1f%%%s%s, eta %s\n",
                  unitsDone, unitsTotal, done, total, rate,
                  done > 0 ? 100.0 * static_cast<double>(succ) /
                                 static_cast<double>(done)
                           : 0.0,
-                 live, batch, lease, eta);
-}
-
-BatchStats
-SweepRunner::batchStats() const
-{
-    // Prototypes and replicas each own (at most) one ParallelEvaluator
-    // whose queue accumulates counters across runs; summing both maps
-    // covers every system a campaign can have run episodes on. The maps
-    // only change between bucket waves (never while their workers run),
-    // and the per-queue counter reads are mutex-guarded.
-    BatchStats s;
-    for (const auto& [name, proto] : prototypes_)
-        s += proto->batchStats();
-    for (const auto& [name, reps] : replicas_)
-        for (const auto& r : reps)
-            s += r->batchStats();
-    return s;
+                 live, lease, eta);
 }
 
 void
@@ -1570,7 +1553,6 @@ SweepRunner::run()
 
         if (cellWorkers == 1) {
             proto->setEvalThreads(episodeThreads);
-            proto->setBatchedInference(opt_.batched);
             for (const std::size_t k : bucketUnits)
                 runUnit(units[k], *proto);
             continue;
@@ -1579,10 +1561,8 @@ SweepRunner::run()
         auto& replicas = replicas_[platform];
         while (static_cast<int>(replicas.size()) < cellWorkers)
             replicas.push_back(proto->replicate());
-        for (auto& r : replicas) {
+        for (auto& r : replicas)
             r->setEvalThreads(episodeThreads);
-            r->setBatchedInference(opt_.batched);
-        }
 
         std::atomic<std::size_t> cursor{0};
         std::string firstError;
@@ -1666,7 +1646,6 @@ SweepRunner::episodes(std::size_t handle)
         EmbodiedSystem* proto = prototypeFor(st.cell.platform);
         proto->prepare(st.cell.cfg);
         proto->setEvalThreads(opt_.threads);
-        proto->setBatchedInference(opt_.batched);
         st.episodes = proto->runEpisodes(st.cell.taskId, st.cell.cfg,
                                          st.cell.reps, st.cell.seed0);
     }

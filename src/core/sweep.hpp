@@ -117,6 +117,12 @@ std::string sweepFingerprint(const SweepCell& cell);
  */
 std::string sweepFingerprintLegacyV1(const SweepCell& cell);
 
+/** Kept only for the campaign benchmark's `batch_*` report fields. */
+struct BatchStats
+{
+    std::uint64_t requests = 0, groups = 0, windowExpiries = 0;
+};
+
 // The store schema version and record-key grammar (sweepEpisodeKey,
 // sweepLeaseKey, ...) live in common/store_keys.hpp: both storage
 // backends (JSON interchange and the binary append log) and the store
@@ -129,14 +135,6 @@ class SweepRunner
     struct Options
     {
         int threads = 1;       //!< total worker budget (ledgers + episodes)
-        /**
-         * Fuse concurrent per-episode GEMMs across episode workers
-         * (core/batched_queue.hpp; bit-identical either way). Only
-         * engages when episodes fan out within a ledger (threads left
-         * over after cell-sharding); the --progress line reports the
-         * measured fusion rate.
-         */
-        bool batched = true;
         std::string storePath; //!< result store; empty disables it
         /**
          * On-disk format when the store is created: Json (default, the
@@ -251,12 +249,8 @@ class SweepRunner
     /** The worker identity lease records carry ("host:pid.seq"). */
     const std::string& workerId() const { return workerId_; }
 
-    /**
-     * GEMM-fusion counters summed over every system the campaign ran
-     * episodes on (zeros when batching or episode fan-out never
-     * engaged). Feeds the --progress line.
-     */
-    BatchStats batchStats() const;
+    /** Always zero; see BatchStats. */
+    BatchStats batchStats() const { return {}; }
 
     /** The "[sweep] ..." summary line run() prints. */
     std::string summary() const;

@@ -106,18 +106,13 @@ struct GemmWorkspace
 };
 
 /**
- * Sink for the integer-GEMM stage of faultyLinear.
- *
- * When a context carries a sink, the hot path hands the (already
- * quantized) GEMM to it instead of calling the dispatched kernel
- * directly. The cross-episode BatchedInferenceQueue in src/core
- * implements this to fuse concurrent per-episode requests that share a
- * frozen weight matrix into one wide kernel call. The contract is
- * create::intGemm over a zero-filled `acc`: callers must pass acc
- * cleared to zero, and the sink leaves exactly the int32 GEMM sums
- * there (it may accumulate in staging and memcpy the slice back --
- * identical to += onto zeros, bit for bit), so routing through a sink
- * can never change results.
+ * Observer hook on the integer-GEMM stage of faultyLinear, kept for the
+ * campaign benchmark (perfbench), whose replay installs a sink that
+ * records each GEMM's shape. When a context carries a sink, the hot path
+ * hands the (already quantized) GEMM to it instead of calling the
+ * dispatched kernel. The contract is create::intGemm over a zero-filled
+ * `acc`: the sink must leave exactly the int32 GEMM sums there, so
+ * routing through a sink never changes results (test_hotpath_golden).
  */
 class IntGemmSink
 {
@@ -147,7 +142,7 @@ class ComputeContext
     Rng rng;
     EnergyMeter meter;
     GemmWorkspace ws; //!< hot-path scratch buffers (never shared across threads)
-    /** Optional cross-episode GEMM batcher (not owned; null = direct). */
+    /** Optional GEMM observer for perfbench (not owned; null = direct). */
     IntGemmSink* gemmSink = nullptr;
 
     /** Disable injection (clean INT8 execution). */

@@ -140,7 +140,7 @@ faultyLinear(const Tensor& x, const Tensor& w, const Tensor* bias,
     const bool needClean = inject || ctx.protection != Protection::None;
     std::vector<std::int32_t>& gemmDst = needClean ? ws.cleanAcc : ws.acc;
     gemmDst.assign(cnt, 0);
-    // A context-carried sink (the cross-episode batcher) takes the GEMM
+    // A context-carried sink (perfbench's shape recorder) takes the GEMM
     // when present; both paths honor the same accumulate contract.
     if (ctx.gemmSink)
         ctx.gemmSink->gemm(ws.xq.data(), m, k, st.wq.data(), n,

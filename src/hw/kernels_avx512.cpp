@@ -21,7 +21,7 @@
  *  not multiply-bound).
  *
  *  Row blocking: as in the AVX2 kernel, quads of rows share each widened
- *  weight load, which is what makes fused (batched) rows cheaper than
+ *  weight load, which is what makes multi-row calls cheaper per row than
  *  repeated single-row calls.
  */
 

@@ -283,8 +283,10 @@ TEST(Coordinator, SocketCampaignBitIdenticalAndRedispatchesDeserters)
     // End to end, in process: a coordinator owning a binlog store, a
     // deserting client that takes a range and vanishes (its range must
     // re-dispatch), and two concurrent socket workers running the full
-    // matrix. The workers' folded stats and the coordinator's store must
-    // both be bit-identical to a serial filesystem campaign.
+    // matrix, one of them fanning each range out over two evaluator
+    // threads (concurrent completions into one range sink). The workers'
+    // folded stats and the coordinator's store must both be bit-identical
+    // to a serial filesystem campaign.
     const std::string store = "/tmp/create_test_coord_e2e.blog";
     const std::string serial = "/tmp/create_test_coord_e2e_serial.json";
     removeStoreAnyFormat(store);
@@ -331,7 +333,9 @@ TEST(Coordinator, SocketCampaignBitIdenticalAndRedispatchesDeserters)
         "127.0.0.1:" + std::to_string(coord.port());
     SweepRunner::Options wo;
     wo.connect = hostPort;
-    SweepRunner w1(wo), w2(wo);
+    SweepRunner::Options wo2 = wo;
+    wo2.threads = 2;
+    SweepRunner w1(wo), w2(wo2);
     std::vector<std::size_t> h1, h2;
     for (const auto& c : cells) {
         h1.push_back(w1.add(c));

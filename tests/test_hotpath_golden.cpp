@@ -223,13 +223,32 @@ makeCtx(std::uint64_t seed, QuantBits bits, Protection prot, bool inject)
     return ctx;
 }
 
-/** Optimized vs reference over one real Linear layer. */
+/** IntGemmSink that honors the sink contract by forwarding to intGemm. */
+struct ForwardingSink : IntGemmSink
+{
+    int calls = 0;
+
+    void gemm(const std::int8_t* xq, std::int64_t m, std::int64_t k,
+              const std::int8_t* wq, std::int64_t n,
+              std::int32_t* acc) override
+    {
+        ++calls;
+        intGemm(xq, m, k, wq, n, acc);
+    }
+};
+
+/**
+ * Optimized vs reference over one real Linear layer; with `sink`, the
+ * optimized context routes its integer GEMM through it.
+ */
 void
 goldenCheckLinear(nn::Linear& lin, const Tensor& x, QuantBits bits,
-                  Protection prot, bool inject, const std::string& what)
+                  Protection prot, bool inject, const std::string& what,
+                  IntGemmSink* sink = nullptr)
 {
     ComputeContext opt = makeCtx(1234, bits, prot, inject);
     ComputeContext ref = makeCtx(1234, bits, prot, inject);
+    opt.gemmSink = sink;
     const Tensor yo = lin.infer(x, opt);
     const RefFrozen f = refFreeze(lin, bits);
     const Tensor yr = refLinear(x, lin, f, ref);
@@ -382,7 +401,8 @@ TEST(HotPathGolden, QuantizeMatchesScalarNearbyint)
 TEST(HotPathGolden, SyntheticLinearEveryProtectionAndWidth)
 {
     // A standalone layer with bias and a planted channel scale, calibrated
-    // here, swept over every (width, protection, injection) combination.
+    // here, swept over every (width, protection, injection) combination,
+    // with the GEMM dispatched directly and through a forwarding sink.
     Rng rng(4242);
     nn::Linear lin("golden.fc", 33, 13, /*withBias=*/true, rng);
     Tensor scale = Tensor::full({13}, 1.0f);
@@ -398,17 +418,23 @@ TEST(HotPathGolden, SyntheticLinearEveryProtectionAndWidth)
     lin.infer(calib, calibCtx);
 
     const Tensor x = randomInput(5, 33, 6, 1.0f);
+    ForwardingSink sink;
     forEachSupportedIsa([&] {
         for (QuantBits bits : kWidths)
             for (Protection prot : kProtections)
                 for (bool inject : {false, true})
-                    goldenCheckLinear(
-                        lin, x, bits, prot, inject,
-                        std::string("synthetic bits=") +
-                            (bits == QuantBits::Int8 ? "8" : "4") + " prot=" +
-                            std::to_string(static_cast<int>(prot)) +
-                            " inject=" + (inject ? "1" : "0"));
+                    for (bool viaSink : {false, true})
+                        goldenCheckLinear(
+                            lin, x, bits, prot, inject,
+                            std::string("synthetic bits=") +
+                                (bits == QuantBits::Int8 ? "8" : "4") +
+                                " prot=" +
+                                std::to_string(static_cast<int>(prot)) +
+                                " inject=" + (inject ? "1" : "0") +
+                                " sink=" + (viaSink ? "1" : "0"),
+                            viaSink ? &sink : nullptr);
     });
+    EXPECT_GT(sink.calls, 0);
 }
 
 TEST(HotPathGolden, RegistryPlatformsRealLayersAndAttention)

@@ -1,10 +1,7 @@
 /** @file Tests for the ParallelEvaluator and the EmbodiedSystem facade:
- *  serial-vs-parallel bit-identity on both platform backends (with the
- *  cross-episode GEMM fusion queue on and off), per-episode RNG stream
- *  isolation, direct BatchedInferenceQueue unit checks, and the generic
- *  interface surface. */
+ *  serial-vs-parallel bit-identity on both platform backends, per-episode
+ *  RNG stream isolation, and the generic interface surface. */
 
-#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -37,17 +34,22 @@ manipSys()
 
 TEST(ParallelEval, MineSerialVs4ThreadsBitIdentical)
 {
-    // Injection active so the fault-injection RNG streams matter.
-    CreateConfig cfg = CreateConfig::uniform(5e-4);
-    cfg.anomalyDetection = true;
+    // Injection active so the fault-injection RNG streams matter: the
+    // uniform bit-flip model, and the voltage-derived timing-error model.
+    CreateConfig uniform = CreateConfig::uniform(5e-4);
+    uniform.anomalyDetection = true;
+    CreateConfig voltage = CreateConfig::atVoltage(0.72, 0.90);
+    voltage.anomalyDetection = true;
     const int reps = 6;
 
-    const TaskStats serial =
-        mineSys().evaluate(MineTask::Wooden, cfg, reps);
     ParallelEvaluator pool(mineSys(), /*threads=*/4);
-    const TaskStats parallel =
-        pool.evaluate(static_cast<int>(MineTask::Wooden), cfg, reps);
-    expectIdentical(serial, parallel);
+    for (const CreateConfig& cfg : {uniform, voltage}) {
+        const TaskStats serial =
+            mineSys().evaluate(MineTask::Wooden, cfg, reps);
+        const TaskStats parallel =
+            pool.evaluate(static_cast<int>(MineTask::Wooden), cfg, reps);
+        expectIdentical(serial, parallel);
+    }
 }
 
 TEST(ParallelEval, ManipSerialVs4ThreadsBitIdentical)
@@ -191,134 +193,4 @@ TEST(EmbodiedSystem, ReplicasShareFrozenWeightBuffers)
     EXPECT_EQ(m->planner(false).head().weight().data(),
               mineSys().planner(false).head().weight().data());
     EXPECT_EQ(&m->controller(), &mineSys().controller());
-}
-
-TEST(BatchedInference, BatchedVsUnbatchedEpisodesBitIdentical)
-{
-    // The cross-episode GEMM fusion queue must be invisible in results:
-    // the same pool of workers with batching on and off, and the serial
-    // path, all produce byte-identical TaskStats (fusion only
-    // concatenates rows of exact int32 GEMMs; see core/batched_queue.hpp).
-    CreateConfig cfg = CreateConfig::atVoltage(0.72, 0.90);
-    cfg.anomalyDetection = true;
-    const int reps = 6;
-
-    mineSys().setEvalThreads(1);
-    const TaskStats serial = mineSys().evaluate(MineTask::Wooden, cfg, reps);
-
-    ParallelEvaluator batched(mineSys(), /*threads=*/4, /*batched=*/true);
-    ParallelEvaluator unbatched(mineSys(), /*threads=*/4, /*batched=*/false);
-    EXPECT_TRUE(batched.batched());
-    EXPECT_FALSE(unbatched.batched());
-    const TaskStats tb =
-        batched.evaluate(static_cast<int>(MineTask::Wooden), cfg, reps);
-    const TaskStats tu =
-        unbatched.evaluate(static_cast<int>(MineTask::Wooden), cfg, reps);
-    expectIdentical(serial, tb);
-    expectIdentical(serial, tu);
-
-    // Every episode GEMM went through the queue and none were dropped.
-    const BatchStats bs = batched.batchStats();
-    EXPECT_GT(bs.requests, 0u);
-    EXPECT_GE(bs.requests, bs.groups);
-    EXPECT_GE(bs.maxBatch, 1u);
-    EXPECT_EQ(4, bs.peakWorkers);
-    EXPECT_EQ(BatchStats{}.requests, unbatched.batchStats().requests);
-}
-
-TEST(BatchedInference, SystemToggleRebuildsEvaluatorAndStaysIdentical)
-{
-    CreateConfig cfg = CreateConfig::uniform(5e-4);
-    cfg.anomalyDetection = true;
-    const int reps = 5;
-    MineSystem sys(/*verbose=*/false);
-
-    const TaskStats serial = sys.evaluate(MineTask::Stone, cfg, reps);
-    sys.setEvalThreads(4);
-    ASSERT_TRUE(sys.batchedInference()); // default on
-    const TaskStats on = sys.evaluate(MineTask::Stone, cfg, reps);
-    sys.setBatchedInference(false);
-    const TaskStats off = sys.evaluate(MineTask::Stone, cfg, reps);
-    sys.setEvalThreads(1);
-    expectIdentical(serial, on);
-    expectIdentical(serial, off);
-}
-
-TEST(BatchedInference, QueueFusesSameKeyRequestsExactly)
-{
-    // Direct queue unit check: two registered workers submitting GEMMs
-    // against the same frozen weight pointer must fuse into one kernel
-    // call with exact per-request results; different weight pointers must
-    // never fuse.
-    const std::int64_t k = 33, n = 13; // ragged on purpose
-    Rng rng(7);
-    std::vector<std::int8_t> w(static_cast<std::size_t>(k * n));
-    for (auto& v : w)
-        v = static_cast<std::int8_t>(rng.rangeInclusive(-127, 127));
-
-    auto ref = [&](const std::vector<std::int8_t>& xq, std::int64_t m) {
-        std::vector<std::int32_t> acc(static_cast<std::size_t>(m * n), 0);
-        for (std::int64_t i = 0; i < m; ++i)
-            for (std::int64_t kk = 0; kk < k; ++kk)
-                for (std::int64_t j = 0; j < n; ++j)
-                    acc[static_cast<std::size_t>(i * n + j)] +=
-                        static_cast<std::int32_t>(
-                            xq[static_cast<std::size_t>(i * k + kk)]) *
-                        static_cast<std::int32_t>(
-                            w[static_cast<std::size_t>(kk * n + j)]);
-        return acc;
-    };
-
-    BatchedInferenceQueue queue(/*batchWindowUs=*/20000);
-    std::vector<std::int8_t> x1(static_cast<std::size_t>(1 * k));
-    std::vector<std::int8_t> x2(static_cast<std::size_t>(3 * k));
-    for (auto& v : x1)
-        v = static_cast<std::int8_t>(rng.rangeInclusive(-127, 127));
-    for (auto& v : x2)
-        v = static_cast<std::int8_t>(rng.rangeInclusive(-127, 127));
-    std::vector<std::int32_t> a1(static_cast<std::size_t>(1 * n), 0);
-    std::vector<std::int32_t> a2(static_cast<std::size_t>(3 * n), 0);
-
-    {
-        // Register both submitters up front (registration counts
-        // submitters, it is not bound to a thread): on a single-core
-        // host the two scopes might otherwise never overlap and every
-        // submission would take the inline path.
-        BatchedInferenceQueue::WorkerScope w1(&queue);
-        BatchedInferenceQueue::WorkerScope w2(&queue);
-        std::thread t1(
-            [&] { queue.gemm(x1.data(), 1, k, w.data(), n, a1.data()); });
-        std::thread t2(
-            [&] { queue.gemm(x2.data(), 3, k, w.data(), n, a2.data()); });
-        t1.join();
-        t2.join();
-    }
-
-    EXPECT_EQ(ref(x1, 1), a1);
-    EXPECT_EQ(ref(x2, 3), a2);
-    const BatchStats bs = queue.stats();
-    EXPECT_EQ(2u, bs.requests);
-    EXPECT_EQ(2, bs.peakWorkers);
-    // With a 20ms window both workers overwhelmingly land in one fused
-    // group ("group full" fires at 2 = registered workers); but a
-    // pathological scheduler can still time one worker out first, so
-    // only the invariants are asserted, not maxBatch == 2.
-    EXPECT_GE(bs.maxBatch, 1u);
-    EXPECT_LE(bs.groups, bs.requests);
-}
-
-TEST(BatchedInference, InlinePathWithSingleWorker)
-{
-    // With one (or zero) registered workers the queue executes inline --
-    // the serial degenerate case used by single-threaded evaluation.
-    const std::int64_t k = 8, n = 4;
-    std::vector<std::int8_t> x(static_cast<std::size_t>(k), 1);
-    std::vector<std::int8_t> w(static_cast<std::size_t>(k * n), 2);
-    std::vector<std::int32_t> acc(static_cast<std::size_t>(n), 0);
-    BatchedInferenceQueue queue;
-    queue.gemm(x.data(), 1, k, w.data(), n, acc.data());
-    for (std::int64_t j = 0; j < n; ++j)
-        EXPECT_EQ(16, acc[static_cast<std::size_t>(j)]);
-    EXPECT_EQ(1u, queue.stats().requests);
-    EXPECT_EQ(1u, queue.stats().groups);
 }
