@@ -6,11 +6,12 @@
  *  (f) AD+VS ablation (effective-voltage shift).
  *
  * The sweep matrix is declared up front on the SweepRunner campaign
- * engine (cells shard across --threads workers and --shard i/N processes,
- * duplicates are memoized, --out/--resume checkpoint long campaigns at
- * episode granularity); the tables render from the cell handles
- * afterwards. CI runs this driver's matrix 2-sharded into one store and
- * sweep-diffs it against a serial run.
+ * engine (cells fan out across --threads workers or --connect
+ * coordinator workers, duplicates are memoized, --out/--resume
+ * checkpoint long campaigns at episode granularity); the tables render
+ * from the cell handles afterwards. CI runs this driver's matrix through
+ * a three-worker create-coordinator fleet and sweep-diffs the store
+ * against a serial run.
  */
 
 #include "bench_util.hpp"

@@ -8,10 +8,12 @@
  * Declared as one SweepRunner campaign: the error-free baseline cell per
  * task is shared between sections (a) and (b) through the engine's
  * memoization, and (b)'s per-task operating-point search candidates are
- * all independent cells, so the whole figure shards across --threads
- * workers (and --shard i/N processes) and checkpoints with --out/--resume
- * at episode granularity -- a kill mid-cell resumes from the surviving
- * episode prefix.
+ * all independent cells, so the whole figure fans out across --threads
+ * workers (or --connect coordinator workers) and checkpoints with
+ * --out/--resume at episode granularity -- a kill mid-cell resumes from
+ * the surviving episode prefix. The fallback cells are a second phase
+ * steered by the first phase's results; a --connect worker declares
+ * them on the connection its first phase opened.
  */
 
 #include "bench_util.hpp"
@@ -33,17 +35,6 @@ main(int argc, char** argv)
     Cli cli(argc, argv);
     const auto opt =
         bench::setupSweep(cli, "Fig. 16 overall evaluation (8 tasks)", 6);
-    if (opt.shardCount > 1) {
-        // Phase 2 (the per-task fallback operating point) is steered by
-        // phase 1's full results; no shard sees them all, so a sharded
-        // run would mis-declare the fallback cells and leave the shared
-        // store permanently incomplete. Refuse rather than corrupt.
-        std::fprintf(stderr,
-                     "error: --shard is not supported by fig16 (its "
-                     "fallback phase is steered by full phase-1 results); "
-                     "shard the other drivers or run fig16 unsharded\n");
-        return 2;
-    }
     const int reps = opt.reps;
 
     SweepRunner sweep(bench::sweepOptions(opt));

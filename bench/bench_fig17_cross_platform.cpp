@@ -15,8 +15,9 @@
  * SweepRunner campaign over platform-named cells: the clean deployment
  * of each (platform, task) pair is declared by every section that
  * baselines against it and executed once by the engine's memoization,
- * and the cells shard across --threads workers (or --shard i/N
- * processes) / checkpoint with --out/--resume at episode granularity.
+ * and the cells fan out across --threads workers (or --connect
+ * coordinator workers) / checkpoint with --out/--resume at episode
+ * granularity.
  */
 
 #include <set>

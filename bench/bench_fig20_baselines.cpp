@@ -5,7 +5,7 @@
  * and degrades quality at low voltage; ABFT's recovery loop explodes as
  * BER grows. CREATE (AD+WR+VS) holds task quality at the lowest energy.
  * The voltage x scheme grid is one declared SweepRunner campaign
- * (episode-ledger store: --out/--resume/--shard/--progress).
+ * (episode-ledger store: --out/--resume/--connect/--progress).
  */
 
 #include <cmath>

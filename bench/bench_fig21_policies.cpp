@@ -5,8 +5,8 @@
  * policies (paper: 100 candidates), reporting the Pareto frontier of
  * (success rate, effective voltage). Candidates are generated first and
  * the whole search is declared as one SweepRunner campaign, so a large
- * --candidates run shards across --threads (or --shard i/N processes)
- * and resumes with --out at episode granularity.
+ * --candidates run fans out across --threads (or --connect coordinator
+ * workers) and resumes with --out at episode granularity.
  */
 
 #include "bench_util.hpp"

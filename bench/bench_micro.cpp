@@ -301,7 +301,7 @@ BM_CoordFrameRoundTrip(benchmark::State& state)
     co.storePath = std::string(dir) + "/store";
     co.storeFormat = StoreFormat::Binlog;
     co.rangeEpisodes = 16;
-    co.leaseSeconds = 300.0; // no expiry churn inside the measurement
+    co.rangeTimeoutSeconds = 300.0; // no expiry churn inside the measurement
     Coordinator coord(co);
     std::string error;
     if (!coord.start(&error)) {

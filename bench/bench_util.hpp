@@ -8,14 +8,12 @@
  * repetitions and --threads to fan the work out (default: all hardware
  * threads). The sweep-based drivers (fig13/16/17/20/21, tab05) declare
  * their matrix on the SweepRunner campaign engine and additionally take
- * --out (resumable episode-ledger store), --resume, --shard i/N
- * (partition one campaign across N processes sharing a store),
- * --lease S (elastic lease-stealing workers sharing a store),
- * --connect host:port (socket workers of a create-coordinator campaign),
- * --progress, and --flush-every. A note on axes: see
- * EXPERIMENTS.md for why the BER axis of the small stand-in models sits a
- * few orders above the paper's (flips per inference is the invariant, not
- * BER).
+ * --out (resumable episode-ledger store), --resume, --connect host:port
+ * (socket workers of a create-coordinator campaign: the one way to
+ * spread a campaign over processes), --progress, and --flush-every. A
+ * note on axes: see EXPERIMENTS.md for why the BER axis of the small
+ * stand-in models sits a few orders above the paper's (flips per
+ * inference is the invariant, not BER).
  */
 
 #include <cstdio>
@@ -75,21 +73,18 @@ struct BenchOptions
     bool resume = false;   //!< --resume: reuse ledgers already in the store
     bool progress = false; //!< --progress: stderr status line per flush
     int flushEvery = 16;   //!< --flush-every N: episodes per store flush
-    int shardIndex = 0;    //!< --shard i/N: this process's partition
-    int shardCount = 1;
-    double leaseSeconds = 0.0; //!< --lease S: elastic lease-stealing mode
     /** --store-format json|binlog: on-disk format when --out creates the
      *  store (an existing store keeps its detected format). */
     StoreFormat storeFormat = StoreFormat::Json;
     /** --connect host:port: run as a socket worker of a
      *  create-coordinator campaign (no local store; mutually exclusive
-     *  with --out/--resume/--shard/--lease). */
+     *  with --out/--resume). */
     std::string connect;
 };
 
 /**
  * SweepRunner options of a sweep-based driver
- * (--threads/--out/--resume/--shard/--progress/--flush-every).
+ * (--threads/--out/--resume/--connect/--progress/--flush-every).
  */
 inline SweepRunner::Options
 sweepOptions(const BenchOptions& o)
@@ -100,9 +95,6 @@ sweepOptions(const BenchOptions& o)
     so.resume = o.resume;
     so.progress = o.progress;
     so.flushEvery = o.flushEvery;
-    so.shardIndex = o.shardIndex;
-    so.shardCount = o.shardCount;
-    so.leaseSeconds = o.leaseSeconds;
     so.storeFormat = o.storeFormat;
     so.connect = o.connect;
     return so;
@@ -174,16 +166,10 @@ setupImpl(const Cli& cli, const char* artifact, int defaultReps,
                 "episodes flush in batches)\n"
                 "  --resume       reuse episodes already in the --out "
                 "store (prefix slices included)\n"
-                "  --shard I/N    run partition I of N over the pending "
-                "ledgers (share one --out)\n"
-                "  --lease S      elastic mode: claim ledgers via leases "
-                "in the --out store, stealing work\n"
-                "                 from workers silent longer than S "
-                "seconds (replaces the --shard partition)\n"
                 "  --connect H:P  run as a socket worker of a "
                 "create-coordinator campaign at host H port P\n"
                 "                 (the coordinator owns the store; "
-                "replaces --out/--resume/--shard/--lease)\n"
+                "replaces --out/--resume)\n"
                 "  --progress     one stderr status line per flush "
                 "(episodes/s, success, ETA)\n"
                 "  --flush-every N  episodes per store flush (default "
@@ -197,6 +183,18 @@ setupImpl(const Cli& cli, const char* artifact, int defaultReps,
         std::printf("%s", extraHelp ? extraHelp : "");
         std::exit(0);
     }
+    // Cli keeps unknown flags, so a script still passing a removed
+    // multi-process flag would silently run the whole campaign in every
+    // process. Refuse it instead.
+    for (const char* removed : {"shard", "lease"})
+        if (cli.has(removed)) {
+            std::fprintf(stderr,
+                         "error: --%s was removed; split a campaign across "
+                         "processes with create-coordinator and --connect "
+                         "host:port workers\n",
+                         removed);
+            std::exit(2);
+        }
     BenchOptions o;
     o.reps = static_cast<int>(cli.integer("reps", defaultReps));
     if (o.reps < 1)
@@ -208,21 +206,6 @@ setupImpl(const Cli& cli, const char* artifact, int defaultReps,
         o.resume = cli.flag("resume");
         o.progress = cli.flag("progress");
         o.flushEvery = static_cast<int>(cli.integer("flush-every", 16));
-        const std::string shard = cli.str("shard", "");
-        if (!shard.empty()) {
-            int i = -1, n = 0;
-            char tail = '\0';
-            if (std::sscanf(shard.c_str(), "%d/%d%c", &i, &n, &tail) != 2 ||
-                i < 0 || n < 1 || i >= n) {
-                std::fprintf(stderr,
-                             "error: --shard: expected i/N with 0 <= i < N, "
-                             "got '%s'\n",
-                             shard.c_str());
-                std::exit(2);
-            }
-            o.shardIndex = i;
-            o.shardCount = n;
-        }
         const std::string fmt = cli.str("store-format", "");
         if (!fmt.empty() && !parseStoreFormat(fmt, o.storeFormat)) {
             std::fprintf(stderr,
@@ -231,22 +214,10 @@ setupImpl(const Cli& cli, const char* artifact, int defaultReps,
                          fmt.c_str());
             std::exit(2);
         }
-        o.leaseSeconds = cli.real("lease", 0.0);
-        if (o.leaseSeconds < 0.0)
-            o.leaseSeconds = 0.0;
-        if (o.leaseSeconds > 0.0 && o.storePath.empty()) {
-            std::fprintf(stderr,
-                         "error: --lease needs --out (the lease records "
-                         "live in the shared result store)\n");
-            std::exit(2);
-        }
         o.connect = cli.str("connect", "");
-        if (!o.connect.empty() &&
-            (!o.storePath.empty() || o.resume || o.shardCount > 1 ||
-             o.leaseSeconds > 0.0)) {
+        if (!o.connect.empty() && (!o.storePath.empty() || o.resume)) {
             std::fprintf(stderr,
-                         "error: --connect replaces "
-                         "--out/--resume/--shard/--lease (the "
+                         "error: --connect replaces --out/--resume (the "
                          "coordinator owns all store state)\n");
             std::exit(2);
         }

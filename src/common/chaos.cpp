@@ -1,7 +1,5 @@
 #include "common/chaos.hpp"
 
-#include "common/io_retry.hpp"
-
 #include <cstdio>
 #include <cstdlib>
 #include <mutex>
@@ -21,21 +19,12 @@ double parseProb(const std::string& v)
     return p < 0.0 ? 0.0 : (p > 1.0 ? 1.0 : p);
 }
 
-int parseMs(const std::string& v)
-{
-    char* end = nullptr;
-    const long ms = std::strtol(v.c_str(), &end, 10);
-    if (end == v.c_str() || (end && *end != '\0') || ms < 0)
-        return 0;
-    return ms > 60000 ? 60000 : static_cast<int>(ms);
-}
-
 std::mt19937_64& rng()
 {
     static std::mt19937_64 gen = [] {
         if (const char* seed = std::getenv("CREATE_CHAOS_SEED"))
             return std::mt19937_64(std::strtoull(seed, nullptr, 10));
-        // Default: per-process schedule so concurrent shards draw
+        // Default: per-process schedule so concurrent workers draw
         // different faults.
         return std::mt19937_64(0x9e3779b97f4a7c15ULL ^
                                static_cast<unsigned long long>(::getpid()));
@@ -82,8 +71,6 @@ Config parseChaosSpec(const char* spec)
             cfg.abortBeforeFlush = parseProb(val);
         else if (key == "tear")
             cfg.tearWrite = parseProb(val);
-        else if (key == "renewdelay")
-            cfg.renewDelayMs = parseMs(val);
         else if (key == "connreset")
             cfg.connReset = parseProb(val);
     }
@@ -116,13 +103,6 @@ double tearKeepFraction()
 {
     std::lock_guard<std::mutex> lock(rngMu());
     return std::uniform_real_distribution<double>(0.05, 0.95)(rng());
-}
-
-void maybeDelayRenewal()
-{
-    const int ms = config().renewDelayMs;
-    if (ms > 0)
-        io::sleepMs(ms);
 }
 
 bool shouldConnReset()

@@ -10,7 +10,7 @@
  * The knobs are read once from the CREATE_CHAOS environment variable,
  * a comma-separated `key=value` list:
  *
- *     CREATE_CHAOS="abort=0.05,tear=0.3,renewdelay=250"
+ *     CREATE_CHAOS="abort=0.05,tear=0.3,connreset=0.05"
  *
  *   abort=P       with probability P per flush, _exit(137) *before*
  *                 writing — simulates a worker dying with a flush batch
@@ -19,8 +19,6 @@
  *                 to a random fraction of its size *after* the write —
  *                 simulates a torn write / partial page landing on disk.
  *                 The next reader must salvage the parseable prefix.
- *   renewdelay=MS sleep MS before each lease renewal — simulates a
- *                 straggler whose lease goes stale under load.
  *   connreset=P   with probability P per coordinator-wire send, write
  *                 only a random prefix of the buffer and drop the
  *                 connection — simulates a mid-frame TCP reset. The
@@ -28,7 +26,7 @@
  *                 the campaign must heal through reconnect/re-dispatch.
  *
  * CREATE_CHAOS_SEED pins the fault RNG for reproducible runs (default
- * seeds from pid so concurrent shards draw different fault schedules).
+ * seeds from pid so concurrent workers draw different fault schedules).
  * All injection points are no-ops when CREATE_CHAOS is unset — the
  * rolls are never taken, so chaos-off campaigns are byte-identical to
  * a build without this layer.
@@ -42,13 +40,11 @@ struct Config
 {
     double abortBeforeFlush = 0.0; //!< abort=P
     double tearWrite = 0.0;        //!< tear=P
-    int renewDelayMs = 0;          //!< renewdelay=MS
     double connReset = 0.0;        //!< connreset=P
 
     bool enabled() const
     {
-        return abortBeforeFlush > 0.0 || tearWrite > 0.0 ||
-               renewDelayMs > 0 || connReset > 0.0;
+        return abortBeforeFlush > 0.0 || tearWrite > 0.0 || connReset > 0.0;
     }
 };
 
@@ -68,9 +64,6 @@ bool shouldTearWrite();
 
 /** Fraction of the file to keep when tearing, uniform in [0.05, 0.95]. */
 double tearKeepFraction();
-
-/** Sleeps renewdelay ms before a lease renewal (no-op when unset). */
-void maybeDelayRenewal();
 
 /** True when the connection-reset fault fires for this wire send. */
 bool shouldConnReset();

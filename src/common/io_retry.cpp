@@ -8,7 +8,6 @@
 #include <netdb.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
-#include <sys/file.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -33,19 +32,6 @@ int openRetry(const char* path, int flags, unsigned mode)
         const int fd = ::open(path, flags, static_cast<mode_t>(mode));
         if (fd >= 0 || errno != EINTR)
             return fd;
-    }
-}
-
-bool flockRetry(int fd, int op)
-{
-    if (fd < 0)
-        return false;
-    for (;;)
-    {
-        if (::flock(fd, op) == 0)
-            return true;
-        if (errno != EINTR)
-            return false;
     }
 }
 

@@ -6,7 +6,7 @@
  *
  * The campaign result store is rewritten after every flush batch, often
  * from signal-heavy environments (chaos harness, CI runners, profilers),
- * so every open/flock/rename on the store path must tolerate EINTR, and
+ * so every open/fopen/rename on the store path must tolerate EINTR, and
  * transient write failures (ENOSPC racing a log rotation, EIO blips on
  * network filesystems) get a bounded exponential backoff before the
  * caller escalates to a terminal error. The wrappers never mask a real
@@ -38,9 +38,6 @@ void sleepMs(int ms);
 
 /** open(2), retrying EINTR. Returns the fd, or -1 with errno set. */
 int openRetry(const char* path, int flags, unsigned mode = 0644);
-
-/** flock(2), retrying EINTR. True on success. */
-bool flockRetry(int fd, int op);
 
 /** fopen(3), retrying EINTR. */
 std::FILE* fopenRetry(const char* path, const char* mode);

@@ -14,9 +14,9 @@
  *   `sweep-store`          the store's schema record
  *   `<fingerprint>`        a ledger meta record (platform/label/task)
  *   `<fingerprint>#<i>`    episode i of the fingerprint's ledger
- *   `lease|<fingerprint>`  the ledger's elastic-worker lease record
+ *   `lease|<fingerprint>`  a lease record (written by older builds only)
  *   `worker|<workerId>`    a worker's range-dispatch telemetry record
- * Anything else (legacy v1 cell records, bench reports) is opaque.
+ * Anything else (bench reports, records of foreign tools) is opaque.
  */
 
 #include <string>
@@ -49,11 +49,12 @@ int sweepEpisodeIndex(const std::string& recordName,
                       std::string* fingerprint = nullptr);
 
 /**
- * Store key of a ledger's lease record: `lease|<fingerprint>`. Lease
- * records are additive v3 records -- fields {owner (string "host:pid"),
- * gen, renewedAt (unix seconds), done (0/1)} -- that coordinate elastic
- * workers; they are scheduling state, not results, so store readers
- * (diff/stats) surface them for attribution but never compare them.
+ * Store key of a ledger's lease record: `lease|<fingerprint>`. Builds
+ * that ran filesystem lease workers wrote these (fields {owner, gen,
+ * renewedAt, done}); nothing writes them now, but the grammar and the
+ * binlog Lease frame stay so those stores still load. They are
+ * scheduling state, not results: readers carry them as opaque records
+ * and never compare them.
  */
 std::string sweepLeaseKey(const std::string& fingerprint);
 

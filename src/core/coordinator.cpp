@@ -4,7 +4,6 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
-#include <sys/file.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -24,14 +23,23 @@ namespace create {
 
 namespace {
 
-/** Wall-clock seconds: assignment timeouts and lease timestamps are
- *  compared across processes/machines, so never the steady clock. */
+/** Steady-clock seconds: every timestamp the coordinator compares is
+ *  its own, so wall-clock jumps must not expire assignments. */
 double
-wallSeconds()
+nowSeconds()
 {
     using namespace std::chrono;
-    return duration<double>(system_clock::now().time_since_epoch()).count();
+    return duration<double>(steady_clock::now().time_since_epoch()).count();
 }
+
+/**
+ * How long a --once coordinator stays up for a worker whose connection
+ * dropped without `bye`. A live worker reconnects at once (its
+ * connect retry starts without a sleep), so this only has to cover
+ * scheduling delays; a worker that was killed costs this much at the
+ * end of the campaign.
+ */
+constexpr double kRejoinGraceSeconds = 2.0;
 
 /**
  * The one send primitive of the coordinator wire, shared by both sides
@@ -201,16 +209,10 @@ Coordinator::Coordinator(Options opt) : opt_(std::move(opt))
 {
     if (opt_.rangeEpisodes < 1)
         opt_.rangeEpisodes = 1;
-    if (opt_.leaseSeconds <= 0.0)
-        opt_.leaseSeconds = 30.0;
+    if (opt_.rangeTimeoutSeconds <= 0.0)
+        opt_.rangeTimeoutSeconds = 30.0;
     if (opt_.flushEvery < 1)
         opt_.flushEvery = 1;
-    char host[256] = "";
-    if (::gethostname(host, sizeof(host) - 1) != 0 || host[0] == '\0')
-        std::snprintf(host, sizeof(host), "localhost");
-    host[sizeof(host) - 1] = '\0';
-    coordId_ = std::string(host) + ":" + std::to_string(::getpid()) +
-               ".coord";
 }
 
 Coordinator::~Coordinator()
@@ -257,8 +259,10 @@ Coordinator::start(std::string* error)
                          "); refusing to own it";
             return false;
         }
-        for (JsonRecord& rec : records)
-            mergeDiskRecord(std::move(rec));
+        for (JsonRecord& rec : records) {
+            std::string name = rec.name;
+            storeRecords_.emplace(std::move(name), std::move(rec));
+        }
     }
 
     listenFd_ = ::socket(AF_INET, SOCK_STREAM, 0);
@@ -290,10 +294,10 @@ Coordinator::start(std::string* error)
                       &len) == 0)
         port_ = static_cast<int>(ntohs(addr.sin_port));
     ::fcntl(listenFd_, F_SETFL, O_NONBLOCK);
-    lastFlush_ = lastRenew_ = lastReload_ = wallSeconds();
+    lastFlush_ = nowSeconds();
     if (opt_.verbose)
-        std::fprintf(stderr, "[coord] %s owns %s (%s)\n", coordId_.c_str(),
-                     opt_.storePath.c_str(),
+        std::fprintf(stderr, "[coord] pid %d owns %s (%s)\n",
+                     static_cast<int>(::getpid()), opt_.storePath.c_str(),
                      storeFormatName(store_->format()));
     return true;
 }
@@ -323,16 +327,12 @@ Coordinator::runLoop()
                 if (pfds[p].revents & (POLLIN | POLLHUP | POLLERR))
                     handleReadable(pfds[p].fd);
         }
-        const double now = wallSeconds();
+        const double now = nowSeconds();
         expireAssignments(now);
-        if (now - lastRenew_ >= opt_.leaseSeconds * 0.25) {
-            lastRenew_ = now;
-            renewLeases(now);
-        }
-        maybeReloadStore(now);
         if (!pendingBatch_.empty() && now - lastFlush_ >= 1.0)
             flushStore(false);
-        if (opt_.once && anyDeclared_ && conns_.empty() && allComplete())
+        if (opt_.once && anyDeclared_ && conns_.empty() && allComplete() &&
+            now >= rejoinUntil_)
             break;
     }
     flushStore(true); // final: telemetry + whatever is pending
@@ -424,7 +424,7 @@ void
 Coordinator::handleControl(Conn& conn, const std::string& verb,
                            const JsonRecord& rec)
 {
-    const double now = wallSeconds();
+    const double now = nowSeconds();
     if (verb == "hello") {
         conn.worker = rec.text("worker");
         if (conn.worker.empty())
@@ -471,6 +471,8 @@ Coordinator::handleControl(Conn& conn, const std::string& verb,
             flushStore(false); // range boundary: land the batch
     } else if (verb == "fetch") {
         serveFetch(conn, rec);
+    } else if (verb == "bye") {
+        conn.bye = true;
     }
     // Unknown verbs are ignored: newer workers degrade gracefully.
 }
@@ -493,7 +495,7 @@ Coordinator::ingestRecord(Conn& conn, JsonRecord&& rec)
         if (!conn.worker.empty()) {
             WorkerStats& ws = workers_[conn.worker];
             ++ws.episodes;
-            ws.lastSeen = wallSeconds();
+            ws.lastSeen = nowSeconds();
         }
         // Duplicates (a straggler finishing a re-dispatched range) are
         // not appended again -- they would bloat an append log -- but
@@ -533,9 +535,9 @@ Coordinator::declareNeed(const std::string& fp, int need)
         st.have.resize(static_cast<std::size_t>(need), 0);
         st.complete = false;
     }
-    // Seed the bitmap from the store: episodes from earlier campaigns,
-    // filesystem workers, or a pre-restart incarnation of this
-    // coordinator all count (the gap-fill exactly-once primitive).
+    // Seed the bitmap from the store: episodes from earlier campaigns
+    // or a pre-restart incarnation of this coordinator count (the
+    // gap-fill exactly-once primitive).
     for (int i = 0; i < st.need; ++i) {
         if (st.have[static_cast<std::size_t>(i)])
             continue;
@@ -554,17 +556,14 @@ Coordinator::declareNeed(const std::string& fp, int need)
 void
 Coordinator::dispatch(Conn& conn)
 {
-    const double now = wallSeconds();
+    const double now = nowSeconds();
     expireAssignments(now);
-    maybeReloadStore(now);
     for (const std::string& fp : fpOrder_) {
         if (!conn.declared.count(fp))
             continue; // never hand a worker a ledger it cannot run
         FpState& st = fps_[fp];
-        if (st.complete || st.deferredUntil > now)
+        if (st.complete)
             continue;
-        if (!ensureLease(fp, st, now))
-            continue; // live filesystem lease: deferred
         // First episode that is neither stored nor in flight.
         const auto inFlight = [&st](int i) {
             for (const Assignment& a : st.assigned)
@@ -632,11 +631,12 @@ Coordinator::dispatch(Conn& conn)
         sendRecord(conn, coordwire::control("fin"));
         return;
     }
-    // Incomplete but nothing to hand out (all in flight, or deferred to
-    // a filesystem fleet): tell the worker when to ask again.
+    // Incomplete but nothing to hand out (everything missing is in
+    // flight): tell the worker when to ask again.
     JsonRecord w = coordwire::control("wait");
     w.numbers.emplace_back(
-        "ms", std::max(50.0, std::min(1000.0, opt_.leaseSeconds * 250.0)));
+        "ms",
+        std::max(50.0, std::min(1000.0, opt_.rangeTimeoutSeconds * 250.0)));
     sendRecord(conn, w);
 }
 
@@ -705,6 +705,11 @@ Coordinator::dropConn(std::size_t index, const char* why)
             }
         }
     }
+    // A drop without `bye` may be a reset the worker is about to heal
+    // by reconnecting -- possibly to fetch a campaign that just
+    // completed -- so --once must not exit under it at once.
+    if (!conn.bye)
+        rejoinUntil_ = nowSeconds() + kRejoinGraceSeconds;
     if (opt_.verbose)
         std::fprintf(stderr, "[coord] conn %d (%s) closed: %s\n", conn.id,
                      conn.worker.empty() ? "?" : conn.worker.c_str(), why);
@@ -720,7 +725,7 @@ Coordinator::expireAssignments(double now)
         if (st.complete)
             continue; // nothing left to re-dispatch; let `done` match
         for (auto a = st.assigned.begin(); a != st.assigned.end();) {
-            if (now - a->since > opt_.leaseSeconds) {
+            if (now - a->since > opt_.rangeTimeoutSeconds) {
                 std::fprintf(stderr,
                              "[coord] range %s [%d, %d) timed out on %s "
                              "(%.1fs); re-dispatching\n",
@@ -738,80 +743,6 @@ Coordinator::expireAssignments(double now)
     }
 }
 
-bool
-Coordinator::ensureLease(const std::string& fp, FpState& st, double now)
-{
-    if (st.leaseHeld)
-        return true;
-    // Claim under the store flock sidecar, exactly the filesystem
-    // workers' claim discipline: reload the disk view while holding it,
-    // honor a live foreign lease, otherwise write a generation-bumped
-    // claim *before* the flock drops. This is the only flock the
-    // coordinator ever takes on a binlog store -- the data path appends
-    // lock-free.
-    const std::string lockPath = opt_.storePath + ".lock";
-    const int lockFd =
-        io::openRetry(lockPath.c_str(), O_CREAT | O_RDWR, 0644);
-    io::FdCloser closeLock(lockFd);
-    if (lockFd < 0 || !io::flockRetry(lockFd, LOCK_EX))
-        std::fprintf(stderr,
-                     "[coord] warning: cannot lock %s; lease claims may "
-                     "race\n",
-                     lockPath.c_str());
-    std::vector<JsonRecord> disk;
-    StoreLoadInfo sal;
-    if (store_->load(disk, &sal, /*quarantineBadTails=*/false))
-        for (JsonRecord& rec : disk)
-            mergeDiskRecord(std::move(rec));
-    std::uint64_t gen = 1;
-    const auto rit = storeRecords_.find(sweepLeaseKey(fp));
-    if (rit != storeRecords_.end()) {
-        const std::string owner = rit->second.text("owner");
-        const bool done = rit->second.number("done") != 0.0;
-        const double renewed = rit->second.number("renewedAt");
-        if (!done && !owner.empty() && owner != coordId_ &&
-            now - renewed <= opt_.leaseSeconds) {
-            // A live filesystem worker owns this ledger: defer it and
-            // fold its progress in on the reload cadence.
-            st.deferredUntil = now + opt_.leaseSeconds * 0.25;
-            foreignLeaseSeen_ = true;
-            if (opt_.verbose)
-                std::fprintf(stderr,
-                             "[coord] %s is live-leased by %s; deferring\n",
-                             fp.c_str(), owner.c_str());
-            return false;
-        }
-        gen = static_cast<std::uint64_t>(rit->second.number("gen")) + 1;
-        if (!done && !owner.empty() && owner != coordId_)
-            std::fprintf(stderr,
-                         "[coord] stealing lease on %s from %s (stale "
-                         "%.1fs > lease %.1fs)\n",
-                         fp.c_str(), owner.c_str(), now - renewed,
-                         opt_.leaseSeconds);
-    }
-    JsonRecord lr;
-    lr.name = sweepLeaseKey(fp);
-    lr.strings.emplace_back("owner", coordId_);
-    lr.numbers.emplace_back("gen", static_cast<double>(gen));
-    lr.numbers.emplace_back("renewedAt", now);
-    lr.numbers.emplace_back("done", 0.0);
-    std::vector<JsonRecord> claim;
-    claim.push_back(lr);
-    storeRecords_[lr.name] = std::move(lr);
-    st.leaseHeld = true;
-    st.leaseGen = gen;
-    st.deferredUntil = 0.0;
-    std::string err;
-    if (!store_->flush(storeRecords_, claim, &err))
-        // The lease is advisory toward a filesystem fleet; a claim that
-        // missed the disk only risks duplicate (idempotent) episodes.
-        std::fprintf(stderr,
-                     "[coord] warning: lease claim on %s did not reach "
-                     "disk: %s\n",
-                     fp.c_str(), err.c_str());
-    return true;
-}
-
 void
 Coordinator::completeFp(const std::string& fp, FpState& st)
 {
@@ -820,88 +751,9 @@ Coordinator::completeFp(const std::string& fp, FpState& st)
     // follows its episodes on the wire, i.e. arrives right after the
     // ingest that completed the fp) must still match to credit its
     // telemetry. Schedulers skip complete fps, so they are inert.
-    if (st.leaseHeld) {
-        // Publish done=1 under our generation: filesystem workers fold
-        // the finished ledger instead of waiting out the lease.
-        JsonRecord lr;
-        lr.name = sweepLeaseKey(fp);
-        lr.strings.emplace_back("owner", coordId_);
-        lr.numbers.emplace_back("gen", static_cast<double>(st.leaseGen));
-        lr.numbers.emplace_back("renewedAt", wallSeconds());
-        lr.numbers.emplace_back("done", 1.0);
-        pendingBatch_.push_back(lr);
-        storeRecords_[lr.name] = std::move(lr);
-    }
     if (opt_.verbose)
         std::fprintf(stderr, "[coord] %s complete (%d episodes)\n",
                      fp.c_str(), st.need);
-}
-
-void
-Coordinator::noteEpisode(const std::string& name)
-{
-    std::string fp;
-    const int idx = sweepEpisodeIndex(name, &fp);
-    if (idx < 0)
-        return;
-    const auto it = fps_.find(fp);
-    if (it == fps_.end() || idx >= it->second.need ||
-        it->second.have[static_cast<std::size_t>(idx)])
-        return;
-    it->second.have[static_cast<std::size_t>(idx)] = 1;
-    ++it->second.haveCount;
-}
-
-void
-Coordinator::maybeReloadStore(double now)
-{
-    // Only mixed fleets need the periodic re-read: a pure socket
-    // campaign's records all arrive on the wire.
-    bool interested = foreignLeaseSeen_;
-    bool anyIncomplete = false;
-    for (const auto& [fp, st] : fps_) {
-        anyIncomplete = anyIncomplete || !st.complete;
-        interested = interested || st.deferredUntil > 0.0;
-    }
-    if (!interested || !anyIncomplete)
-        return;
-    if (now - lastReload_ < std::max(1.0, opt_.leaseSeconds * 0.25))
-        return;
-    lastReload_ = now;
-    std::vector<JsonRecord> disk;
-    StoreLoadInfo sal;
-    if (!store_->load(disk, &sal, /*quarantineBadTails=*/false))
-        return;
-    for (JsonRecord& rec : disk)
-        mergeDiskRecord(std::move(rec));
-    for (auto& [fp, st] : fps_)
-        if (!st.complete && st.haveCount == st.need)
-            completeFp(fp, st);
-}
-
-void
-Coordinator::mergeDiskRecord(JsonRecord&& rec)
-{
-    if (sweepLeaseFingerprint(rec.name)) {
-        if (!rec.text("owner").empty() && rec.text("owner") != coordId_ &&
-            rec.number("done") == 0.0)
-            foreignLeaseSeen_ = true;
-        const auto it = storeRecords_.find(rec.name);
-        if (it == storeRecords_.end())
-            storeRecords_.emplace(rec.name, std::move(rec));
-        else if (leaseRecordBeats(rec, it->second))
-            it->second = std::move(rec);
-        return;
-    }
-    // Data records: our in-memory copy is at least as new (episodes are
-    // deterministic, so duplicates are bit-identical anyway); only new
-    // keys fold in.
-    const auto it = storeRecords_.find(rec.name);
-    if (it != storeRecords_.end())
-        return;
-    noteEpisode(rec.name);
-    std::string name = rec.name;
-    storeRecords_.emplace(std::move(name), std::move(rec));
 }
 
 void
@@ -920,27 +772,6 @@ Coordinator::flushStore(bool force)
         schemaStamped_ = true;
     }
     writeWorkerTelemetry();
-    // A rewriting (json) backend replaces the whole file, so when
-    // filesystem workers share the store the read-merge-rename must be
-    // atomic across processes -- the same sidecar-flock discipline the
-    // sweep engine uses. Appending (binlog) backends skip all of it:
-    // every writer owns its log, the data path takes no lock.
-    int lockFd = -1;
-    if (store_->rewritesWholeStore()) {
-        const std::string lockPath = store_->lockPath();
-        lockFd = io::openRetry(lockPath.c_str(), O_CREAT | O_RDWR, 0644);
-        if (lockFd < 0 || !io::flockRetry(lockFd, LOCK_EX))
-            std::fprintf(stderr,
-                         "[coord] warning: cannot lock %s; concurrent "
-                         "flushes may drop records\n",
-                         lockPath.c_str());
-        std::vector<JsonRecord> disk;
-        StoreLoadInfo sal;
-        if (store_->load(disk, &sal, /*quarantineBadTails=*/false))
-            for (JsonRecord& rec : disk)
-                mergeDiskRecord(std::move(rec));
-    }
-    io::FdCloser closeLock(lockFd);
     std::string err;
     bool ok = false;
     for (int attempt = 0; attempt < io::kRetryAttempts && !ok; ++attempt) {
@@ -958,28 +789,7 @@ Coordinator::flushStore(bool force)
             err + " -- campaign aborted; workers can re-point a restarted "
             "coordinator at the salvaged store");
     pendingBatch_.clear();
-    lastFlush_ = wallSeconds();
-}
-
-void
-Coordinator::renewLeases(double now)
-{
-    bool any = false;
-    for (auto& [fp, st] : fps_) {
-        if (!st.leaseHeld || st.complete)
-            continue;
-        JsonRecord lr;
-        lr.name = sweepLeaseKey(fp);
-        lr.strings.emplace_back("owner", coordId_);
-        lr.numbers.emplace_back("gen", static_cast<double>(st.leaseGen));
-        lr.numbers.emplace_back("renewedAt", now);
-        lr.numbers.emplace_back("done", 0.0);
-        pendingBatch_.push_back(lr);
-        storeRecords_[lr.name] = std::move(lr);
-        any = true;
-    }
-    if (any)
-        flushStore(false); // renewals must reach disk to count
+    lastFlush_ = nowSeconds();
 }
 
 void

@@ -29,6 +29,7 @@
  *     <episodes>                          completed records (Episode frames)
  *     coord|done    {fp} {start,count}    range finished
  *     coord|fetch   {fp}      {need}      request the fp's stored episodes
+ *     coord|bye     {}                    clean close: no reconnect follows
  *
  *   coordinator -> worker
  *     coord|range   {fp} {start,count}    run episodes [start, start+count)
@@ -38,24 +39,21 @@
  *     coord|fetched {fp}                  fetch reply complete
  *
  * Exactly-once without two-phase commit: the coordinator's have-bitmap
- * (episode-index gap-fill, the PR 8 primitive) is the single source of
- * truth. A worker that dies mid-range simply stops; its assignment
- * times out after leaseSeconds and the *still-missing* indices are
+ * (episode-index gap-fill, the same primitive --resume uses) is the
+ * single source of truth. A worker that dies mid-range simply stops; its
+ * assignment times out after rangeTimeoutSeconds (or is re-pooled at
+ * once when its connection drops) and the *still-missing* indices are
  * re-dispatched. Duplicate episodes (a straggler finishing a
  * re-dispatched range) merge idempotently -- episodes are deterministic
  * functions of (fingerprint, index).
  *
- * Mixed fleets: filesystem `--lease` workers sharing the coordinator's
- * store interoperate through the ordinary lease records. The
- * coordinator claims each fingerprint's lease (generation bump, under
- * the store flock sidecar) before dispatching it and defers
- * fingerprints live-leased by filesystem workers, folding their disk
- * progress in on a periodic re-load. The flock is only ever taken on
- * this control path (claims) or by a rewriting (json) backend's flush
- * -- a binlog store's socket data path appends lock-free.
+ * The coordinator is its store's only writer: it loads the store once at
+ * start() and from then on every record arrives on the wire, so flushes
+ * take no lock and never re-read the disk. This is the one way a
+ * campaign spans processes; within a process, SweepRunner's local
+ * threads share the work.
  */
 
-#include <cstdint>
 #include <map>
 #include <set>
 #include <string>
@@ -138,12 +136,9 @@ class Coordinator
         StoreFormat storeFormat = StoreFormat::Binlog;
         int port = 0;              //!< 0 picks an ephemeral port
         int rangeEpisodes = 16;    //!< dispatch quantum (adaptive down)
-        /**
-         * Assignment/lease timeout: a range not completed within this
-         * many seconds is re-dispatched, and the coordinator's own
-         * fingerprint leases renew at a quarter of it.
-         */
-        double leaseSeconds = 30.0;
+        /** Assignment timeout: a range not completed within this many
+         *  seconds is re-dispatched. */
+        double rangeTimeoutSeconds = 30.0;
         bool once = false;   //!< exit once the campaign completes
         bool verbose = false;
         int flushEvery = 64; //!< ingested records per store flush
@@ -163,8 +158,10 @@ class Coordinator
 
     /**
      * Serve until stop() (or, with Options::once, until every declared
-     * fingerprint is complete and the last worker disconnected). Runs
-     * the poll loop on the calling thread.
+     * fingerprint is complete and the last worker disconnected; a worker
+     * whose connection dropped without `bye` -- a reset, not a clean
+     * exit -- first gets a short grace to reconnect). Runs the poll loop
+     * on the calling thread.
      */
     void runLoop();
 
@@ -185,7 +182,7 @@ class Coordinator
         int count = 0;
         int connId = -1;
         std::string worker;
-        double since = 0.0; //!< wall-clock dispatch time
+        double since = 0.0; //!< dispatch time (steady clock)
     };
 
     /** Dispatch state of one declared fingerprint. */
@@ -195,9 +192,6 @@ class Coordinator
         std::vector<char> have;
         int haveCount = 0;
         bool complete = false;
-        bool leaseHeld = false;
-        std::uint64_t leaseGen = 0;
-        double deferredUntil = 0.0; //!< foreign live lease: recheck then
         std::vector<Assignment> assigned;
     };
 
@@ -219,10 +213,12 @@ class Coordinator
         int fd = -1;
         int id = -1;
         bool dead = false;  //!< send failed; reaped after processing
+        bool bye = false;   //!< said goodbye: its close is not a reset
         std::string worker; //!< empty until hello
         /** Fingerprints this connection declared: only these are
-         *  dispatched to it (mixed fleets can scope differently), and
-         *  `fin` fires when *they* are complete, not the whole store. */
+         *  dispatched to it (workers of one fleet can run differently
+         *  scoped campaigns), and `fin` fires when *they* are complete,
+         *  not the whole store. */
         std::set<std::string> declared;
         binlog::StreamDecoder dec;
         binlog::FrameEncoder enc;
@@ -240,20 +236,14 @@ class Coordinator
     bool sendRecord(Conn& conn, const JsonRecord& rec);
     void dropConn(std::size_t index, const char* why);
     void expireAssignments(double now);
-    bool ensureLease(const std::string& fp, FpState& st, double now);
     void completeFp(const std::string& fp, FpState& st);
-    void noteEpisode(const std::string& name);
-    void maybeReloadStore(double now);
-    void mergeDiskRecord(JsonRecord&& rec);
     void flushStore(bool force);
-    void renewLeases(double now);
     void writeWorkerTelemetry();
     bool allComplete() const;
     long long remainingUnassigned() const;
     int activeWorkers() const;
 
     Options opt_;
-    std::string coordId_; //!< lease owner identity ("host:pid.coord")
     int listenFd_ = -1;
     int port_ = 0;
     volatile bool stopping_ = false;
@@ -267,9 +257,9 @@ class Coordinator
     bool schemaStamped_ = false;
     bool anyDeclared_ = false;
     double lastFlush_ = 0.0;
-    double lastRenew_ = 0.0;
-    double lastReload_ = 0.0;
-    bool foreignLeaseSeen_ = false; //!< a filesystem fleet shares the store
+    /** --once may not exit before this: a worker that dropped without
+     *  `bye` may still be reconnecting. */
+    double rejoinUntil_ = 0.0;
     std::map<std::string, WorkerStats> workers_;
     long long episodesIngested_ = 0;
     long long rangesDispatched_ = 0;

@@ -1,8 +1,6 @@
 #include "core/store_backend.hpp"
 
 #include <dirent.h>
-#include <fcntl.h>
-#include <sys/file.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -15,7 +13,6 @@
 
 #include "common/binlog.hpp"
 #include "common/io_retry.hpp"
-#include "common/store_keys.hpp"
 
 namespace create {
 
@@ -43,22 +40,6 @@ sanitizeTag(const std::string& tag)
     return out.empty() ? "writer" : out;
 }
 
-/** Fold one raw record into the merged view (see StoreBackend::load). */
-void
-mergeRecord(std::map<std::string, JsonRecord>& merged, JsonRecord&& rec)
-{
-    if (sweepLeaseFingerprint(rec.name)) {
-        const auto it = merged.find(rec.name);
-        if (it == merged.end())
-            merged.emplace(rec.name, std::move(rec));
-        else if (leaseRecordBeats(rec, it->second))
-            it->second = std::move(rec);
-        return;
-    }
-    std::string name = rec.name;
-    merged[std::move(name)] = std::move(rec);
-}
-
 /** The single-file JSON array store (interchange/golden format). */
 class JsonStoreBackend final : public StoreBackend
 {
@@ -67,8 +48,6 @@ class JsonStoreBackend final : public StoreBackend
 
     StoreFormat format() const override { return StoreFormat::Json; }
     const std::string& path() const override { return path_; }
-    bool rewritesWholeStore() const override { return true; }
-    std::string lockPath() const override { return path_ + ".lock"; }
     std::string lastDataFile() const override { return path_; }
 
     bool load(std::vector<JsonRecord>& out, StoreLoadInfo* info,
@@ -132,8 +111,6 @@ class BinlogStoreBackend final : public StoreBackend
 
     StoreFormat format() const override { return StoreFormat::Binlog; }
     const std::string& path() const override { return path_; }
-    bool rewritesWholeStore() const override { return false; }
-    std::string lockPath() const override { return path_ + ".lock"; }
 
     std::string lastDataFile() const override
     {
@@ -183,8 +160,10 @@ class BinlogStoreBackend final : public StoreBackend
                 if (info && !q.empty())
                     info->quarantined.push_back(q);
             }
-            for (JsonRecord& rec : recs)
-                mergeRecord(merged, std::move(rec));
+            for (JsonRecord& rec : recs) {
+                std::string name = rec.name;
+                merged[std::move(name)] = std::move(rec);
+            }
         }
         out.reserve(merged.size());
         for (auto& [name, rec] : merged)
@@ -229,15 +208,8 @@ class BinlogStoreBackend final : public StoreBackend
     bool compact(std::string* error, std::string* note) override
     {
         // Offline fold: every log (and every duplicate key) into one
-        // fresh log. The store lock keeps concurrent *claims* out, but a
-        // live writer keeps appending to its unlinked open log -- run
-        // compaction on quiescent stores only.
-        const std::string lp = lockPath();
-        const int lockFd = io::openRetry(lp.c_str(), O_CREAT | O_RDWR,
-                                         0644);
-        io::FdCloser closeLock(lockFd);
-        if (lockFd >= 0)
-            io::flockRetry(lockFd, LOCK_EX);
+        // fresh log. A live writer would keep appending to its unlinked
+        // open log -- run compaction on quiescent stores only.
         std::vector<std::string> logs;
         if (!listLogs(logs)) {
             if (error)
@@ -341,15 +313,6 @@ parseStoreFormat(const std::string& name, StoreFormat& out)
         return true;
     }
     return false;
-}
-
-bool
-leaseRecordBeats(const JsonRecord& a, const JsonRecord& b)
-{
-    const double ga = a.number("gen"), gb = b.number("gen");
-    if (ga != gb)
-        return ga > gb;
-    return a.number("renewedAt") > b.number("renewedAt");
 }
 
 bool

@@ -9,16 +9,17 @@
  *  - **json** (the default, and the interchange/diff/golden format): one
  *    `[ ... ]` array of flat records, rewritten atomically (tmp+rename)
  *    on every flush. Human-greppable and byte-stable, but a flush costs
- *    O(store) and concurrent shards must serialize the whole
- *    read-merge-rename behind the store flock.
+ *    O(store).
  *  - **binlog** (the campaign-scale format): a *directory* of per-writer
  *    binary append logs (`log-<worker>.crbl`, common/binlog frame
  *    codec). A flush appends O(batch) CRC-framed records to the caller's
- *    own log -- no lock, no rewrite, no disk re-merge -- so the store
- *    flock only guards lease claims, not data. Readers scan every log,
- *    salvage torn tails (quarantining the bad suffix), and fold
- *    duplicate keys last-writer-wins (leases by generation, the rule a
- *    steal needs to stick).
+ *    own log -- no rewrite. Readers scan every log, salvage torn tails
+ *    (quarantining the bad suffix), and fold duplicate keys
+ *    last-writer-wins.
+ *
+ * A store has one writer process at a time (a local campaign or the
+ * create-coordinator that owns it), so no backend takes a cross-process
+ * lock.
  *
  * Both formats carry the same JsonRecord model and the same store-key
  *  grammar (common/store_keys), and doubles survive both round trips
@@ -29,8 +30,7 @@
  * Format resolution: a store that already exists on disk keeps its
  * detected format (magic bytes / directory-ness) regardless of the
  * requested one -- the flag only matters at creation -- so every reader
- * and resumed campaign autodetects and mixed fleets cannot split-brain
- * one store.
+ * and resumed campaign autodetects.
  */
 
 #include <map>
@@ -83,15 +83,11 @@ class StoreBackend
 
     /**
      * Merged view of every record on disk: one record per key, duplicate
-     * keys folded later-writer-wins except leases, where the higher
-     * (generation, renewedAt) wins -- a recorded steal must never be
-     * resurrected by the victim's stale copy. Returns false when no
-     * store exists yet; a store that exists but yields no parseable
-     * record returns true with `info->salvaged` set and `out` empty.
-     * With `quarantineBadTails`, unreadable suffixes are preserved next
-     * to their file before anything rewrites them (loads on the claim
-     * path pass false: scans are frequent and the owner heals its own
-     * log).
+     * keys folded later-writer-wins. Returns false when no store exists
+     * yet; a store that exists but yields no parseable record returns
+     * true with `info->salvaged` set and `out` empty. With
+     * `quarantineBadTails`, unreadable suffixes are preserved next to
+     * their file before anything rewrites them.
      */
     virtual bool load(std::vector<JsonRecord>& out, StoreLoadInfo* info,
                       bool quarantineBadTails) = 0;
@@ -109,19 +105,6 @@ class StoreBackend
     virtual bool flush(const std::map<std::string, JsonRecord>& full,
                        const std::vector<JsonRecord>& batch,
                        std::string* error) = 0;
-
-    /**
-     * Whether flush() replaces the whole store (json) rather than
-     * appending (binlog). When true, concurrent writers must re-merge
-     * with the records on disk under the store lock before flushing, or
-     * the rewrite drops peers' batches; appending backends merge on
-     * read instead, so their data path takes no lock at all.
-     */
-    virtual bool rewritesWholeStore() const = 0;
-
-    /** Sidecar flock path serializing lease claims (and, for rewriting
-     *  backends, flushes): `<path>.lock` for either format. */
-    virtual std::string lockPath() const = 0;
 
     /** The data file this process's flushes land in (chaos tear target;
      *  empty before the first flush of an appending backend). */
@@ -159,12 +142,5 @@ std::unique_ptr<StoreBackend>
 openStoreBackend(const std::string& path, StoreFormat requested,
                  const std::string& writerTag,
                  std::string* formatNote = nullptr);
-
-/**
- * The lease-merge rule shared by every reader: true when record `a`
- * (owner/gen/renewedAt) should replace `b`. Strictly-higher generation
- * wins; within a generation the later renewal wins.
- */
-bool leaseRecordBeats(const JsonRecord& a, const JsonRecord& b);
 
 } // namespace create

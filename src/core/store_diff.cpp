@@ -78,13 +78,13 @@ loadStoreCells(const std::string& path, std::vector<StoreCell>& out,
                          : sal.quarantined.front().c_str());
     }
 
-    // Pass 1: collect episode ledgers (v2, with per-episode owner
-    // attribution when present), lease records, and meta records.
+    // Pass 1: collect episode ledgers (with per-episode owner
+    // attribution when present) and meta records. Anything else -- a
+    // `lease|` record an older build wrote, for one -- is opaque here:
+    // no fingerprint looks it up.
     std::map<std::string, std::map<int, std::pair<EpisodeRecord,
                                                   std::string>>> ledgers;
     std::map<std::string, const JsonRecord*> metas;
-    std::map<std::string, const JsonRecord*> leases;
-    std::vector<const JsonRecord*> legacyRecords;
     for (const JsonRecord& rec : records) {
         if (rec.name == kSweepStoreSchemaRecord)
             continue;
@@ -96,20 +96,11 @@ loadStoreCells(const std::string& path, std::vector<StoreCell>& out,
                 ledgers[fp][idx] = {er, rec.text("by")};
             continue;
         }
-        if (sweepLeaseFingerprint(rec.name, &fp)) {
-            leases[fp] = &rec;
-            continue;
-        }
         if (sweepWorkerId(rec.name)) {
             // Coordinator range-dispatch telemetry: handed to callers
             // that ask for it (sweep-stats), never folded into a cell.
             if (workers)
                 workers->push_back(rec);
-            continue;
-        }
-        if (rec.name.rfind("v1|", 0) == 0 &&
-            rec.number("episodes", -1.0) >= 0.0) {
-            legacyRecords.push_back(&rec);
             continue;
         }
         metas.emplace(rec.name, &rec);
@@ -135,12 +126,6 @@ loadStoreCells(const std::string& path, std::vector<StoreCell>& out,
         }
         cell.episodes = next;
         cell.episodeOwners.assign(owners.begin(), owners.end());
-        const auto lit = leases.find(fp);
-        if (lit != leases.end()) {
-            cell.leaseOwner = lit->second->text("owner");
-            cell.leaseGen = static_cast<int>(lit->second->number("gen"));
-            cell.leaseDone = lit->second->number("done") != 0.0;
-        }
         cell.stats = aggregate(prefix);
         // Metrics are comparable only with full coverage: a ledger mixing
         // metrics-on and metrics-off (or v2 and v3) episodes would make
@@ -158,21 +143,6 @@ loadStoreCells(const std::string& path, std::vector<StoreCell>& out,
             cell.platform = mit->second->text("platform");
             cell.label = mit->second->text("label");
         }
-        out.push_back(std::move(cell));
-    }
-
-    // Legacy v1 cell records contribute their aggregates directly.
-    for (const JsonRecord* rec : legacyRecords) {
-        StoreCell cell;
-        cell.fingerprint = rec->name;
-        cell.platform = rec->text("platform");
-        cell.label = rec->text("label");
-        cell.legacy = true;
-        cell.episodes = static_cast<int>(rec->number("episodes"));
-        cell.stats.episodes = cell.episodes;
-        cell.stats.successes = static_cast<int>(rec->number("successes"));
-        for (const auto& [key, member] : kTaskStatFields)
-            cell.stats.*member = rec->number(key);
         out.push_back(std::move(cell));
     }
 

@@ -4,17 +4,14 @@
  * @file
  * Cell-by-fingerprint comparison of two SweepRunner result stores, so any
  * campaign becomes a regression gate: run the matrix twice (different
- * commit, thread count, shard split, machine), `sweep-diff a.json b.json`,
- * and a nonzero exit means the results drifted.
+ * commit, thread count, coordinator fleet, machine), `sweep-diff a.json
+ * b.json`, and a nonzero exit means the results drifted.
  *
- * Both store schemas load: a v2 episode-ledger store folds each
- * fingerprint's contiguous episode prefix through the same aggregate()
- * the engine uses (the per-episode records carry their energy, so no
- * platform model is needed), and a legacy v1 store contributes its
- * cell-level aggregates directly. Fingerprints are compared as opaque
- * keys -- v1 and v2 fingerprints of the same cell intentionally differ
- * (the v2 identity has no reps), so diffing across schema generations
- * reports the generation change instead of guessing an equivalence.
+ * Each fingerprint's contiguous episode prefix folds through the same
+ * aggregate() the engine uses (the per-episode records carry their
+ * energy, so no platform model is needed). Fingerprints are compared as
+ * opaque keys. Scheduling records (coordinator `worker|` telemetry,
+ * `lease|` records older builds wrote) never become cells.
  */
 
 #include <string>
@@ -31,27 +28,21 @@ struct StoreCell
     std::string platform; //!< from the ledger meta record, may be empty
     std::string label;    //!< from the ledger meta record, may be empty
     TaskStats stats;
-    int episodes = 0;  //!< episodes folded (v2: contiguous prefix length)
-    bool legacy = false; //!< v1 cell-level record (no episode ledger)
-    /** The folded episode prefix itself (empty for legacy cells); the
-     *  raw sample source for sweep-stats' percentile engine. */
+    int episodes = 0; //!< episodes folded (the contiguous prefix length)
+    /** The folded episode prefix itself; the raw sample source for
+     *  sweep-stats' percentile engine. */
     std::vector<EpisodeRecord> records;
     /** Summed observability counters over the prefix; only comparable
      *  when every prefix episode carried them (hasMetrics). */
     EpisodeMetrics metrics;
     bool hasMetrics = false;
     /**
-     * Per-worker episode counts over the folded prefix (elastic lease
-     * campaigns stamp each episode record with a `by` field naming the
-     * worker that ran it; empty otherwise). Attribution only -- never
-     * compared by diffStoreCells.
+     * Per-worker episode counts over the folded prefix (coordinator
+     * socket workers stamp each episode record with a `by` field naming
+     * the worker that ran it; empty otherwise). Attribution only --
+     * never compared by diffStoreCells.
      */
     std::vector<std::pair<std::string, int>> episodeOwners;
-    /** This ledger's lease record, when present (elastic campaigns).
-     *  Scheduling state, not results: surfaced, never compared. */
-    std::string leaseOwner;
-    int leaseGen = 0;
-    bool leaseDone = false;
 };
 
 /** Tolerances for stat comparisons: pass when

@@ -109,10 +109,10 @@ computeStoreStats(const std::vector<StoreCell>& cells,
         int ledgers = 0, episodes = 0, successes = 0;
     };
     std::map<std::tuple<std::string, int, int>, Pool> pools;
-    // Per-worker attribution (elastic lease campaigns only).
+    // Per-worker attribution (coordinator campaigns only).
     struct OwnerLoad
     {
-        int episodes = 0, ledgers = 0, leasesHeld = 0;
+        int episodes = 0, ledgers = 0;
         const JsonRecord* telemetry = nullptr;
     };
     std::map<std::string, OwnerLoad> owners;
@@ -128,12 +128,6 @@ computeStoreStats(const std::vector<StoreCell>& cells,
     }
 
     for (const StoreCell& cell : cells) {
-        if (cell.legacy) {
-            ++res.legacyCells;
-            continue;
-        }
-        if (!cell.leaseOwner.empty())
-            ++owners[cell.leaseOwner].leasesHeld;
         for (const auto& [owner, n] : cell.episodeOwners) {
             OwnerLoad& load = owners[owner];
             load.episodes += n;
@@ -214,7 +208,6 @@ computeStoreStats(const std::vector<StoreCell>& cells,
         s.owner = owner;
         s.episodes = load.episodes;
         s.ledgers = load.ledgers;
-        s.leasesHeld = load.leasesHeld;
         if (load.telemetry) {
             const JsonRecord& t = *load.telemetry;
             s.hasRanges = true;

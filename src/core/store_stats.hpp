@@ -69,7 +69,7 @@ struct LedgerTail
     std::string platform; //!< meta record, or parsed from the fingerprint
     std::string label;
     int taskId = -1;     //!< parsed from the fingerprint (-1: unknown)
-    int protection = -1; //!< parsed `|prot=N` (-1: unknown / legacy)
+    int protection = -1; //!< parsed `|prot=N` (-1: unknown)
     int episodes = 0;
     TaskStats stats; //!< the same fold the engine/drivers use
 
@@ -104,15 +104,14 @@ struct GroupTail
 };
 
 /**
- * One worker's share of an elastic campaign (from the per-episode `by`
- * attribution and the lease records elastic lease mode writes).
+ * One worker's share of a coordinator campaign (from the per-episode
+ * `by` attribution socket workers stamp).
  */
 struct ShardLoad
 {
     std::string owner; //!< worker identity ("host:pid.seq")
     int episodes = 0;  //!< attributed episodes over folded prefixes
     int ledgers = 0;   //!< ledgers this worker ran episodes of
-    int leasesHeld = 0; //!< ledgers whose current lease names this worker
     /**
      * Range-dispatch telemetry from the campaign coordinator's
      * `worker|<id>` record (socket campaigns only; hasRanges gates it).
@@ -134,9 +133,8 @@ struct StoreStatsResult
 {
     std::vector<LedgerTail> ledgers; //!< fingerprint order
     std::vector<GroupTail> groups;   //!< (platform, task, protection) order
-    int legacyCells = 0; //!< v1 aggregates: counted, not tail-analyzed
-    /** Per-worker attribution; empty unless the store carries lease-mode
-     *  records. Ordered by episodes descending. */
+    /** Per-worker attribution; empty unless the store carries `by`
+     *  stamps or worker telemetry. Ordered by episodes descending. */
     std::vector<ShardLoad> shards;
 };
 

@@ -1,16 +1,13 @@
 #include "core/sweep.hpp"
 
 #include <fcntl.h>
-#include <sys/file.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
-#include <cctype>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <limits>
 #include <stdexcept>
 #include <thread>
 
@@ -45,13 +42,13 @@ modeTag(InjectionMode m)
 }
 
 /**
- * The config-dependent fingerprint tail shared by the v1 and v2 formats:
- * everything that can change execution, nothing that cannot. The policy's
- * display name never matters; the whole policy (and the LDO update
- * interval) only matters under voltageScaling; BER fields only matter
- * under Uniform injection; the injection target switches and component
- * filter only matter when injection is active at all. Operating voltages
- * always matter (the energy meter prices clean compute at them too).
+ * The config-dependent fingerprint tail: everything that can change
+ * execution, nothing that cannot. The policy's display name never
+ * matters; the whole policy (and the LDO update interval) only matters
+ * under voltageScaling; BER fields only matter under Uniform injection;
+ * the injection target switches and component filter only matter when
+ * injection is active at all. Operating voltages always matter (the
+ * energy meter prices clean compute at them too).
  */
 std::string
 fingerprintTail(const CreateConfig& c)
@@ -91,22 +88,10 @@ nowSeconds()
 }
 
 /**
- * Wall-clock seconds for lease timestamps. Leases are compared across
- * processes and machines, so this must be the system clock, not the
- * steady clock (whose epoch is per-boot).
- */
-double
-wallSeconds()
-{
-    using namespace std::chrono;
-    return duration<double>(system_clock::now().time_since_epoch()).count();
-}
-
-/**
- * This worker's lease identity: "host:pid.seq". The per-process sequence
+ * This runner's worker identity: "host:pid.seq". The per-process sequence
  * distinguishes multiple runners inside one process (tests, embedded
- * campaigns) -- two workers must never share an identity or a steal from
- * a dead sibling would look like a self-renewal.
+ * campaigns): each gets its own binlog append log and its own
+ * coordinator telemetry row.
  */
 std::string
 makeWorkerId()
@@ -118,6 +103,20 @@ makeWorkerId()
     static std::atomic<int> seq{0};
     return std::string(host) + ":" + std::to_string(::getpid()) + "." +
            std::to_string(++seq);
+}
+
+/** Ledger meta record: lets tools (sweep-diff, progress viewers) label a
+ *  fingerprint without re-deriving it. */
+JsonRecord
+ledgerMeta(const std::string& fingerprint, const SweepCell& owner)
+{
+    JsonRecord meta;
+    meta.name = fingerprint;
+    meta.strings.emplace_back("platform", owner.platform);
+    meta.strings.emplace_back("label", owner.label);
+    meta.numbers.emplace_back("task", owner.taskId);
+    meta.numbers.emplace_back("seed0", static_cast<double>(owner.seed0));
+    return meta;
 }
 
 /** Split a "host:port" coordinator spec; false on anything malformed. */
@@ -147,14 +146,6 @@ sweepFingerprint(const SweepCell& cell)
     // cell's reps is the length of the prefix it reads off the shared
     // ledger, not part of the ledger's identity.
     return "v2|" + cell.platform + "|task=" + std::to_string(cell.taskId) +
-           "|seed0=" + std::to_string(cell.seed0) + fingerprintTail(cell.cfg);
-}
-
-std::string
-sweepFingerprintLegacyV1(const SweepCell& cell)
-{
-    return "v1|" + cell.platform + "|task=" + std::to_string(cell.taskId) +
-           "|reps=" + std::to_string(cell.reps) +
            "|seed0=" + std::to_string(cell.seed0) + fingerprintTail(cell.cfg);
 }
 
@@ -201,35 +192,10 @@ class SweepRunner::StoreSink : public EpisodeSink
         bool doFlush = false;
         {
             std::lock_guard<std::mutex> lock(runner_.storeMu_);
-            const auto idx = static_cast<std::size_t>(base + index);
-            ledger_.eps[idx] = rec;
-            ledger_.have[idx] = 1;
-            ledger_.anyExecuted = true;
-            ++runner_.episodesExecuted_;
-            ++runner_.progressDone_;
-            if (result.success)
-                ++runner_.progressSucc_;
-            if (metrics.present) {
-                // Bounded sliding window: live tail latency, O(1) space.
-                constexpr std::size_t kWallWindow = 4096;
-                if (runner_.progressWall_.size() < kWallWindow)
-                    runner_.progressWall_.push_back(metrics.wallMs);
-                else
-                    runner_.progressWall_[runner_.progressWallNext_++ %
-                                          kWallWindow] = metrics.wallMs;
-                runner_.progressFlips_ += metrics.flipsInjected;
-            }
-            if (toStore_) {
-                JsonRecord jr = episodeToRecord(
-                    sweepEpisodeKey(fingerprint_, base + index), rec);
-                // Elastic campaigns stamp each episode with the worker
-                // that ran it: per-shard attribution for sweep-stats.
-                // The field is a string, so the diff/stat folds never
-                // see it; chaos-off stores stay byte-identical.
-                if (runner_.opt_.leaseSeconds > 0.0)
-                    jr.strings.emplace_back("by", runner_.workerId_);
-                runner_.pendingRecords_.push_back(std::move(jr));
-            }
+            runner_.landEpisodeLocked(ledger_, base + index, rec);
+            if (toStore_)
+                runner_.pendingRecords_.push_back(episodeToRecord(
+                    sweepEpisodeKey(fingerprint_, base + index), rec));
             if (++runner_.flushTick_ >= runner_.opt_.flushEvery) {
                 runner_.flushTick_ = 0;
                 doFlush = true;
@@ -252,7 +218,7 @@ class SweepRunner::StoreSink : public EpisodeSink
 
 /**
  * Streams one dispatched range's completed episodes to the coordinator:
- * the ledger/progress side of StoreSink, but the records go onto the
+ * the same ledger landing as StoreSink, but the records go onto the
  * wire instead of the local store. Every record of the current range is
  * retained until the range is acknowledged -- a send that fails
  * mid-range (coordinator restart, injected connreset) just marks the
@@ -282,28 +248,12 @@ class SweepRunner::CoordSink : public EpisodeSink
                                 metrics};
         {
             std::lock_guard<std::mutex> lock(runner_.storeMu_);
-            const auto idx = static_cast<std::size_t>(base + index);
-            ledger_.eps[idx] = rec;
-            ledger_.have[idx] = 1;
-            ledger_.anyExecuted = true;
-            ++runner_.episodesExecuted_;
-            ++runner_.progressDone_;
-            if (result.success)
-                ++runner_.progressSucc_;
-            if (metrics.present) {
-                constexpr std::size_t kWallWindow = 4096;
-                if (runner_.progressWall_.size() < kWallWindow)
-                    runner_.progressWall_.push_back(metrics.wallMs);
-                else
-                    runner_.progressWall_[runner_.progressWallNext_++ %
-                                          kWallWindow] = metrics.wallMs;
-                runner_.progressFlips_ += metrics.flipsInjected;
-            }
+            runner_.landEpisodeLocked(ledger_, base + index, rec);
         }
         JsonRecord jr = episodeToRecord(
             sweepEpisodeKey(fingerprint_, base + index), rec);
-        // Worker attribution, same contract as elastic mode: a string
-        // field the diff/stat folds never compare.
+        // Worker attribution for sweep-stats: a string field the
+        // diff/stat folds never compare.
         jr.strings.emplace_back("by", runner_.workerId_);
         bool flushed = false;
         {
@@ -361,24 +311,6 @@ SweepRunner::SweepRunner(Options opt) : opt_(std::move(opt))
         opt_.threads = 1;
     if (opt_.flushEvery < 1)
         opt_.flushEvery = 1;
-    if (opt_.shardCount < 1)
-        opt_.shardCount = 1;
-    if (opt_.shardIndex < 0 || opt_.shardIndex >= opt_.shardCount)
-        throw std::invalid_argument("SweepRunner: shard index " +
-                                    std::to_string(opt_.shardIndex) +
-                                    " outside 0.." +
-                                    std::to_string(opt_.shardCount - 1));
-    if (opt_.leaseSeconds < 0.0)
-        opt_.leaseSeconds = 0.0;
-    if (opt_.leaseSeconds > 0.0 && opt_.shardCount > 1) {
-        // Leases subsume the static partition: every process claims
-        // dynamically, so a shard index would only mislead.
-        std::fprintf(stderr,
-                     "[sweep] elastic lease mode: --shard partition "
-                     "ignored (workers claim ledgers dynamically)\n");
-        opt_.shardIndex = 0;
-        opt_.shardCount = 1;
-    }
     if (!opt_.connect.empty()) {
         std::string host;
         int port = 0;
@@ -386,14 +318,22 @@ SweepRunner::SweepRunner(Options opt) : opt_(std::move(opt))
             throw std::invalid_argument(
                 "SweepRunner: connect expects host:port, got '" +
                 opt_.connect + "'");
-        if (!opt_.storePath.empty() || opt_.resume ||
-            opt_.shardCount > 1 || opt_.leaseSeconds > 0.0)
+        if (!opt_.storePath.empty() || opt_.resume)
             throw std::invalid_argument(
-                "SweepRunner: connect replaces the shared-store options "
-                "(store/resume/shard/lease) -- the coordinator owns all "
-                "store state");
+                "SweepRunner: connect replaces the store options "
+                "(store/resume) -- the coordinator owns all store state");
     }
     workerId_ = makeWorkerId();
+}
+
+SweepRunner::~SweepRunner()
+{
+    // A clean goodbye: a --once coordinator treats any other close as a
+    // reset and waits briefly for this worker to reconnect.
+    if (coord_ && coord_->connected()) {
+        std::string err;
+        coord_->send(coordwire::control("bye"), &err);
+    }
 }
 
 std::size_t
@@ -459,22 +399,41 @@ SweepRunner::prototypeFor(const std::string& platform)
 }
 
 void
+SweepRunner::landEpisodeLocked(Ledger& ledger, int index,
+                               const EpisodeRecord& rec)
+{
+    const auto idx = static_cast<std::size_t>(index);
+    ledger.eps[idx] = rec;
+    ledger.have[idx] = 1;
+    ledger.anyExecuted = true;
+    ++episodesExecuted_;
+    ++progressDone_;
+    if (rec.result.success)
+        ++progressSucc_;
+    if (rec.metrics.present) {
+        // Bounded sliding window: live tail latency, O(1) space.
+        constexpr std::size_t kWallWindow = 4096;
+        if (progressWall_.size() < kWallWindow)
+            progressWall_.push_back(rec.metrics.wallMs);
+        else
+            progressWall_[progressWallNext_++ % kWallWindow] =
+                rec.metrics.wallMs;
+        progressFlips_ += rec.metrics.flipsInjected;
+    }
+}
+
+void
 SweepRunner::finalizeGroup(const std::string& fingerprint,
                            const std::vector<std::size_t>& members,
-                           std::size_t owner, bool executedNow, bool skipped)
+                           std::size_t owner, bool executedNow)
 {
     std::lock_guard<std::mutex> lock(storeMu_);
     const Ledger& led = ledgers_.find(fingerprint)->second;
     for (const std::size_t m : members) {
         CellState& st = cells_[m];
-        // A skipped cell (another shard owns the ledger) folds whatever
-        // contiguous prefix is locally available -- possibly nothing.
-        const int n =
-            skipped ? led.prefixLen(st.cell.reps) : st.cell.reps;
-        st.stats = aggregate(led.eps.data(), static_cast<std::size_t>(n));
-        if (skipped)
-            st.source = CellSource::Skipped;
-        else if (m == owner && executedNow)
+        st.stats = aggregate(led.eps.data(),
+                             static_cast<std::size_t>(st.cell.reps));
+        if (m == owner && executedNow)
             st.source = CellSource::Executed;
         else if (led.anyExecuted)
             st.source = CellSource::Sliced;
@@ -497,16 +456,7 @@ SweepRunner::runUnit(WorkUnit& unit, EmbodiedSystem& sys)
                         c.seed0 + static_cast<std::uint64_t>(start), &sink);
     }
     finalizeGroup(unit.fingerprint, unit.members, unit.owner,
-                  /*executedNow=*/true, /*skipped=*/false);
-    if (opt_.leaseSeconds > 0.0 && !opt_.storePath.empty()) {
-        // Mark our lease done before the unit-boundary flush renews it:
-        // the same write that lands the final episodes publishes the
-        // ledger as complete, so peers stop honoring the lease.
-        std::lock_guard<std::mutex> io(storeIoMu_);
-        const auto it = activeLeases_.find(unit.fingerprint);
-        if (it != activeLeases_.end())
-            it->second.done = true;
-    }
+                  /*executedNow=*/true);
     if (!opt_.storePath.empty())
         flushStore(); // unit boundary: a killed campaign resumes from here
     if (opt_.progress)
@@ -521,8 +471,7 @@ SweepRunner::runUnit(WorkUnit& unit, EmbodiedSystem& sys)
 
 void
 SweepRunner::loadStore(
-    std::map<std::string, std::map<int, EpisodeRecord>>& eps,
-    std::map<std::string, TaskStats>& legacy)
+    std::map<std::string, std::map<int, EpisodeRecord>>& eps)
 {
     // Called from run() before any worker starts (and after any previous
     // phase's workers joined), so storeRecords_ is safe to fill; the
@@ -568,8 +517,8 @@ SweepRunner::loadStore(
                          : sal.quarantined.front().c_str());
     }
 
-    // A store without a schema record is a PR 4-era (v1) cell-level
-    // store; its records are served read-only for whole-cell resume.
+    // Only the future-schema guard reads the version: every older
+    // schema's episode records load as they are.
     int schema = 1;
     for (const JsonRecord& rec : records)
         if (rec.name == kSweepStoreSchemaRecord)
@@ -602,19 +551,11 @@ SweepRunner::loadStore(
                                  "[sweep] store record %s is missing "
                                  "episode fields; re-running it\n",
                                  rec.name.c_str());
-            } else if (rec.name.rfind("v1|", 0) == 0 &&
-                       rec.number("episodes", -1.0) >= 0.0) {
-                TaskStats s;
-                s.episodes = static_cast<int>(rec.number("episodes"));
-                s.successes = static_cast<int>(rec.number("successes"));
-                for (const auto& [key, member] : kTaskStatFields)
-                    s.*member = rec.number(key);
-                legacy.emplace(rec.name, s);
             }
         }
         // Keep every record through future flushes, including ones no
         // declared cell (yet) matches -- a rewrite must never drop
-        // another campaign's (or shard's) results.
+        // another campaign's results.
         storeRecords_.emplace(rec.name, std::move(rec));
     }
 }
@@ -625,8 +566,8 @@ SweepRunner::flushStore()
     if (opt_.storePath.empty())
         return;
     // Chaos injection point: a worker that dies here leaves its pending
-    // batch unflushed -- exactly the kill -9 shape the lease protocol
-    // and --resume gap-fill must absorb.
+    // batch unflushed -- exactly the kill -9 shape --resume gap-fill
+    // must absorb.
     chaos::maybeAbortBeforeFlush();
     // Drain the pending batch under storeMu_ (O(batch), so workers
     // streaming episodes never queue behind disk or an O(store) copy),
@@ -648,31 +589,28 @@ SweepRunner::flushStore()
         return; // future-schema store disabled the path under io race
     for (const JsonRecord& rec : batch)
         storeRecords_[rec.name] = rec;
-    // Records minted on the I/O path since the last flush (ledger meta,
-    // claimed leases) are already merged into storeRecords_ but still
-    // owe the disk a frame when the backend appends.
+    // Records minted on the I/O path since the last flush (ledger meta)
+    // are already merged into storeRecords_ but still owe the disk a
+    // frame when the backend appends.
     if (!pendingIo_.empty()) {
         batch.insert(batch.end(),
                      std::make_move_iterator(pendingIo_.begin()),
                      std::make_move_iterator(pendingIo_.end()));
         pendingIo_.clear();
     }
-    const bool renewing = opt_.leaseSeconds > 0.0 && !activeLeases_.empty();
     // Skip the write only when a newer flush already reached disk AND we
-    // merged nothing new AND no lease needs its renewal timestamp: a
-    // racing newer flush can win the I/O mutex before our batch is
-    // merged, so its file does not contain our records -- returning then
-    // would strand this batch in memory past the at-most-one-flush-batch
-    // kill-durability guarantee.
-    if (version <= storeWritten_ && batch.empty() && !renewing)
+    // merged nothing new: a racing newer flush can win the I/O mutex
+    // before our batch is merged, so its file does not contain our
+    // records -- returning then would strand this batch in memory past
+    // the at-most-one-flush-batch kill-durability guarantee.
+    if (version <= storeWritten_ && batch.empty())
         return;
     {
         // Always (re)stamp the current schema: merging into an older
         // (v2) store upgrades it -- old records stay valid, new episode
-        // records carry the optional v3 fields. Setting it before the
-        // shard disk-merge below means a concurrent shard's older stamp
-        // never wins (emplace keeps ours). Appending backends publish it
-        // once per process (merge-on-read keeps the newest copy).
+        // records carry the optional v3 fields. Appending backends
+        // publish it once per process (merge-on-read keeps the newest
+        // copy).
         JsonRecord schema;
         schema.name = kSweepStoreSchemaRecord;
         schema.numbers.emplace_back("schema", kSweepStoreSchema);
@@ -682,59 +620,13 @@ SweepRunner::flushStore()
         }
         storeRecords_[kSweepStoreSchemaRecord] = std::move(schema);
     }
-    // Sharded/elastic campaigns on a *rewriting* backend: other processes
-    // rewrite the same file, so the read-merge-rename must be atomic
-    // across processes too. The flock on a sidecar serializes writers (a
-    // kill while holding it is harmless -- an flock dies with its
-    // process) and the re-read carries their records forward; ours win
-    // per key except leases, where the higher generation wins (a steal
-    // must stick). A single static process skips both: its in-memory
-    // view is already a superset of the disk. Appending backends skip
-    // all of it unconditionally -- every writer owns its own log, so the
-    // data path takes no lock and no disk re-merge (merge happens on
-    // read); the store flock is left to guard only lease claims.
-    int lockFd = -1;
-    if (be->rewritesWholeStore() &&
-        (opt_.shardCount > 1 || opt_.leaseSeconds > 0.0)) {
-        const std::string lockPath = be->lockPath();
-        lockFd = io::openRetry(lockPath.c_str(), O_CREAT | O_RDWR, 0644);
-        if (lockFd < 0 || !io::flockRetry(lockFd, LOCK_EX)) {
-            // Proceeding unlocked risks two shards' read-merge-rename
-            // interleaving (last writer drops the other's batch); there
-            // is no safe fallback, so at least say it happened.
-            std::fprintf(stderr,
-                         "[sweep] warning: cannot lock %s; concurrent "
-                         "shard flushes may drop each other's records\n",
-                         lockPath.c_str());
-        }
-        std::vector<JsonRecord> disk;
-        StoreLoadInfo sal;
-        if (be->load(disk, &sal, /*quarantineBadTails=*/false)) {
-            if (sal.salvaged)
-                std::fprintf(stderr,
-                             "[sweep] store %s torn on disk: merged the "
-                             "%zu-record parseable prefix (%llu of %llu "
-                             "bytes); this flush heals it\n",
-                             opt_.storePath.c_str(), disk.size(),
-                             static_cast<unsigned long long>(sal.goodBytes),
-                             static_cast<unsigned long long>(
-                                 sal.totalBytes));
-            for (JsonRecord& rec : disk)
-                mergeDiskRecordLocked(std::move(rec));
-        }
-    }
-    io::FdCloser closeLock(lockFd); // releases the flock, even on throw
-    if (renewing) {
-        chaos::maybeDelayRenewal(); // chaos: straggler going stale
-        renewLeasesLocked(wallSeconds(), batch);
-    }
     std::string error;
     if (!persistLocked(batch, &error)) {
         // Loud terminal failure: the records are retained in
         // storeRecords_, but disk no longer keeps up -- continuing would
-        // silently void the crash-durability contract (and, in lease
-        // mode, our renewals). The throw propagates through the episode
-        // worker's error capture and fails the campaign.
+        // silently void the crash-durability contract. The throw
+        // propagates through the episode worker's error capture and
+        // fails the campaign.
         throw std::runtime_error(
             "cannot write result store " + opt_.storePath + ": " + error +
             " -- campaign aborted; completed episodes up to the last "
@@ -745,10 +637,9 @@ SweepRunner::flushStore()
         // Chaos injection point: truncate the just-written data file to a
         // random fraction, simulating a torn write landing on disk. For
         // the json backend that is the store file itself; for binlog it
-        // is this process's own append log (the peers' logs are separate
-        // files a tear cannot reach). The in-memory view is intact, so a
-        // later flush heals it -- json by rewriting, binlog via the
-        // writer's checkTail resync; readers in between (peers' claims, a
+        // is this process's own append log. The in-memory view is
+        // intact, so a later flush heals it -- json by rewriting, binlog
+        // via the writer's checkTail resync; a reader in between (a
         // post-kill resume) must salvage the parseable prefix.
         const std::string tearPath = be->lastDataFile();
         const int fd = tearPath.empty()
@@ -770,25 +661,6 @@ SweepRunner::flushStore()
         }
         storeWritten_ = 0; // force the next flush to write (heal)
     }
-}
-
-void
-SweepRunner::mergeDiskRecordLocked(JsonRecord&& rec)
-{
-    if (sweepLeaseFingerprint(rec.name)) {
-        const auto it = storeRecords_.find(rec.name);
-        // Higher lease generation wins regardless of which side holds it
-        // in memory: a steal recorded on disk must never be resurrected
-        // by the victim's next rewrite. Ties keep ours (our renewal
-        // timestamp is at least as fresh).
-        if (it == storeRecords_.end())
-            storeRecords_.emplace(rec.name, std::move(rec));
-        else if (rec.number("gen") > it->second.number("gen"))
-            it->second = std::move(rec);
-        return;
-    }
-    std::string name = rec.name;
-    storeRecords_.emplace(std::move(name), std::move(rec));
 }
 
 StoreBackend*
@@ -830,243 +702,15 @@ SweepRunner::persistLocked(const std::vector<JsonRecord>& batch,
 }
 
 void
-SweepRunner::renewLeasesLocked(double now, std::vector<JsonRecord>& batch)
-{
-    for (auto it = activeLeases_.begin(); it != activeLeases_.end();) {
-        const std::string key = sweepLeaseKey(it->first);
-        const auto rit = storeRecords_.find(key);
-        if (rit != storeRecords_.end() &&
-            (rit->second.text("owner") != workerId_ ||
-             static_cast<std::uint64_t>(rit->second.number("gen")) !=
-                 it->second.gen)) {
-            // Stolen from us: we went stale (straggler, paused, clock
-            // skew) and a peer claimed the ledger. Keep running --
-            // episodes are deterministic, so the flush merge is
-            // idempotent -- but stop renewing the lost lease.
-            std::fprintf(stderr,
-                         "[sweep] lease on %s lost to %s; continuing "
-                         "(duplicate episodes merge idempotently)\n",
-                         it->first.c_str(),
-                         rit->second.text("owner").c_str());
-            it = activeLeases_.erase(it);
-            continue;
-        }
-        JsonRecord lr;
-        lr.name = key;
-        lr.strings.emplace_back("owner", workerId_);
-        lr.numbers.emplace_back("gen",
-                                static_cast<double>(it->second.gen));
-        lr.numbers.emplace_back("renewedAt", now);
-        lr.numbers.emplace_back("done", it->second.done ? 1.0 : 0.0);
-        batch.push_back(lr); // appending backends owe the disk a frame
-        storeRecords_[key] = std::move(lr);
-        ++it;
-    }
-}
-
-void
-SweepRunner::gapFillFromStore(WorkUnit& unit)
-{
-    // Caller holds storeIoMu_; ledger + progress live under storeMu_.
-    // The io -> mu nesting is safe: no path acquires storeIoMu_ while
-    // holding storeMu_ (flushStore releases storeMu_ first).
-    std::lock_guard<std::mutex> lock(storeMu_);
-    Ledger& led = *unit.led;
-    long long seeded = 0;
-    for (int idx = 0; idx < unit.need; ++idx) {
-        if (led.have[static_cast<std::size_t>(idx)])
-            continue;
-        const auto rit =
-            storeRecords_.find(sweepEpisodeKey(unit.fingerprint, idx));
-        if (rit == storeRecords_.end())
-            continue;
-        EpisodeRecord er;
-        if (!episodeFromRecord(rit->second, er))
-            continue;
-        led.eps[static_cast<std::size_t>(idx)] = er;
-        led.have[static_cast<std::size_t>(idx)] = 1;
-        ++seeded;
-    }
-    if (seeded > 0)
-        progressTotal_ -= seeded; // a peer already ran these
-    unit.runs.clear();
-    for (int k = 0; k < unit.need;) {
-        if (led.have[static_cast<std::size_t>(k)]) {
-            ++k;
-            continue;
-        }
-        const int start = k;
-        while (k < unit.need && !led.have[static_cast<std::size_t>(k)])
-            ++k;
-        unit.runs.emplace_back(start, k - start);
-    }
-}
-
-SweepRunner::WorkUnit*
-SweepRunner::claimNext(std::vector<WorkUnit*>& pending)
-{
-    // One locked scan: refresh the store view, fold peers' progress into
-    // every pending unit (finalizing ledgers they completed), then claim
-    // the stalest claimable ledger by writing a generation-bumped lease.
-    // Both backends share the `<store>.lock` sidecar (computed literally
-    // here: the flock is taken before storeIoMu_, so the lazily-opened
-    // backend cannot be consulted yet). For binlog stores this flock
-    // guards *only* claims -- the data path appends lock-free.
-    const std::string lockPath = opt_.storePath + ".lock";
-    const int lockFd = io::openRetry(lockPath.c_str(), O_CREAT | O_RDWR,
-                                     0644);
-    io::FdCloser closeLock(lockFd);
-    if (lockFd < 0 || !io::flockRetry(lockFd, LOCK_EX))
-        std::fprintf(stderr,
-                     "[sweep] warning: cannot lock %s; lease claims may "
-                     "race\n",
-                     lockPath.c_str());
-    std::lock_guard<std::mutex> io(storeIoMu_);
-    StoreBackend* be = ensureBackendLocked();
-    if (be) {
-        std::vector<JsonRecord> disk;
-        StoreLoadInfo sal;
-        // No quarantine on the claim path: scans are frequent and a torn
-        // log's owner heals its own tail on its next append.
-        if (be->load(disk, &sal, /*quarantineBadTails=*/false)) {
-            if (sal.salvaged)
-                std::fprintf(stderr,
-                             "[sweep] store %s torn on disk: claim scan "
-                             "salvaged %zu records (%llu of %llu bytes)\n",
-                             opt_.storePath.c_str(), disk.size(),
-                             static_cast<unsigned long long>(sal.goodBytes),
-                             static_cast<unsigned long long>(
-                                 sal.totalBytes));
-            for (JsonRecord& rec : disk)
-                mergeDiskRecordLocked(std::move(rec));
-        }
-    }
-    for (auto it = pending.begin(); it != pending.end();) {
-        gapFillFromStore(**it);
-        if ((*it)->runs.empty()) {
-            // A peer completed this ledger; its episodes are all local
-            // now, so the fold is the full bit-identical prefix.
-            finalizeGroup((*it)->fingerprint, (*it)->members, (*it)->owner,
-                          /*executedNow=*/false, /*skipped=*/false);
-            {
-                std::lock_guard<std::mutex> lock(storeMu_);
-                ++unitsDone_;
-            }
-            it = pending.erase(it);
-        } else {
-            ++it;
-        }
-    }
-    const double now = wallSeconds();
-    WorkUnit* best = nullptr;
-    double bestRenewed = 0.0;
-    for (WorkUnit* u : pending) {
-        double renewed = -1.0; // never leased: maximally stale
-        bool claimable = true;
-        const auto rit = storeRecords_.find(sweepLeaseKey(u->fingerprint));
-        if (rit != storeRecords_.end()) {
-            const std::string owner = rit->second.text("owner");
-            const bool done = rit->second.number("done") != 0.0;
-            renewed = rit->second.number("renewedAt");
-            const bool expired = now - renewed > opt_.leaseSeconds;
-            if (expired && !done && !owner.empty() && owner != workerId_) {
-                // Telemetry: count each foreign lease generation's
-                // expiry once, however many scans observe it.
-                auto& maxGen = expiredSeen_[u->fingerprint];
-                const auto gen =
-                    static_cast<std::uint64_t>(rit->second.number("gen"));
-                if (gen > maxGen) {
-                    maxGen = gen;
-                    ++leasesExpired_;
-                }
-            }
-            claimable = done || owner == workerId_ || expired;
-        }
-        if (claimable && (!best || renewed < bestRenewed)) {
-            best = u;
-            bestRenewed = renewed;
-        }
-    }
-    if (!best)
-        return nullptr; // everything left is live-leased by peers
-    std::uint64_t gen = 1;
-    const auto rit = storeRecords_.find(sweepLeaseKey(best->fingerprint));
-    if (rit != storeRecords_.end()) {
-        gen = static_cast<std::uint64_t>(rit->second.number("gen")) + 1;
-        const std::string owner = rit->second.text("owner");
-        if (!owner.empty() && owner != workerId_ &&
-            rit->second.number("done") == 0.0) {
-            ++leasesStolen_;
-            std::fprintf(stderr,
-                         "[sweep] stealing lease on %s from %s (stale "
-                         "%.1fs > lease %.1fs)\n",
-                         best->fingerprint.c_str(), owner.c_str(),
-                         now - rit->second.number("renewedAt"),
-                         opt_.leaseSeconds);
-        }
-    }
-    activeLeases_[best->fingerprint] = ActiveLease{gen, false};
-    JsonRecord lr;
-    lr.name = sweepLeaseKey(best->fingerprint);
-    lr.strings.emplace_back("owner", workerId_);
-    lr.numbers.emplace_back("gen", static_cast<double>(gen));
-    lr.numbers.emplace_back("renewedAt", now);
-    lr.numbers.emplace_back("done", 0.0);
-    // The claim must hit the disk before the flock drops (that ordering
-    // IS the mutual exclusion); appending backends write just this one
-    // lease frame, rewriting ones the merged view containing it.
-    std::vector<JsonRecord> claimBatch;
-    claimBatch.push_back(lr);
-    storeRecords_[lr.name] = std::move(lr);
-    std::string error;
-    if (!persistLocked(claimBatch, &error))
-        throw std::runtime_error(
-            "cannot write result store " + opt_.storePath +
-            " while claiming a lease: " + error + " -- campaign aborted");
-    return best;
-}
-
-void
-SweepRunner::runElastic(std::vector<WorkUnit>& units)
-{
-    std::vector<WorkUnit*> pending;
-    pending.reserve(units.size());
-    for (WorkUnit& u : units)
-        pending.push_back(&u);
-    // Poll cadence when everything left is live-leased by peers: a
-    // quarter lease bounds the steal latency to well within one lease
-    // period without hammering the store.
-    const int pollMs = std::max(
-        50, std::min(1000, static_cast<int>(opt_.leaseSeconds * 250.0)));
-    while (!pending.empty()) {
-        WorkUnit* unit = claimNext(pending);
-        if (!unit) {
-            io::sleepMs(pollMs);
-            continue;
-        }
-        pending.erase(std::find(pending.begin(), pending.end(), unit));
-        const SweepCell& c = cells_[unit->owner].cell;
-        EmbodiedSystem* proto = prototypeFor(c.platform);
-        // Units run one at a time per process (processes are the elastic
-        // scale-out unit), so the serial prepare() here satisfies the
-        // per-width weight-freeze constraint; the thread budget fans out
-        // within the unit via the episode-parallel engine.
-        proto->prepare(c.cfg);
-        proto->setEvalThreads(opt_.threads);
-        runUnit(*unit, *proto);
-        std::lock_guard<std::mutex> io(storeIoMu_);
-        activeLeases_.erase(unit->fingerprint);
-    }
-}
-
-void
 SweepRunner::runConnected(std::vector<WorkUnit>& units)
 {
     std::string host;
     int port = 0;
     parseHostPort(opt_.connect, host, port); // validated at construction
 
-    CoordClient client;
+    if (!coord_)
+        coord_ = std::make_unique<CoordClient>();
+    CoordClient& client = *coord_;
     // The reconnect budget doubles as the coordinator-restart budget:
     // connectRetry's backoff (capped at 2 s per sleep) spans ~30 s over
     // 20 attempts, comfortably past a kill -9 + restart-from-salvage.
@@ -1075,36 +719,34 @@ SweepRunner::runConnected(std::vector<WorkUnit>& units)
     // Everything after hello is idempotent, so a (re)connect just
     // replays the declarations: ledger meta (the coordinator stores it
     // exactly as a local campaign would) + the episode need per unit.
-    const auto declareAll = [&]() -> bool {
+    const auto declareAll = [&](std::string* err) -> bool {
         std::vector<JsonRecord> decl;
         decl.reserve(units.size() * 2);
         for (const WorkUnit& u : units) {
-            const SweepCell& oc = cells_[u.owner].cell;
-            JsonRecord meta;
-            meta.name = u.fingerprint;
-            meta.strings.emplace_back("platform", oc.platform);
-            meta.strings.emplace_back("label", oc.label);
-            meta.numbers.emplace_back("task", oc.taskId);
-            meta.numbers.emplace_back("seed0",
-                                      static_cast<double>(oc.seed0));
-            decl.push_back(std::move(meta));
+            decl.push_back(ledgerMeta(u.fingerprint, cells_[u.owner].cell));
             JsonRecord need = coordwire::control("need");
             need.strings.emplace_back("fp", u.fingerprint);
             need.numbers.emplace_back("need", u.need);
             decl.push_back(std::move(need));
         }
-        std::string err;
-        return client.send(decl, &err);
+        return client.send(decl, err);
     };
     const auto reconnect = [&]() {
         std::string err;
         if (!client.connect(host, port, workerId_, kConnectAttempts,
                             &err) ||
-            !declareAll())
+            !declareAll(&err))
             throw std::runtime_error(
                 "cannot reach coordinator " + opt_.connect + ": " + err);
     };
-    reconnect();
+    // A later phase declares its ledgers on the connection an earlier
+    // phase opened: closing it between phases would let a --once
+    // coordinator see an idle, complete fleet and exit under us.
+    {
+        std::string err;
+        if (!client.connected() || !declareAll(&err))
+            reconnect();
+    }
 
     // Per-unit bookkeeping: which units this worker actually ran
     // episodes for (their owner cells report Executed, the rest Sliced/
@@ -1149,8 +791,8 @@ SweepRunner::runConnected(std::vector<WorkUnit>& units)
         const int count = static_cast<int>(rec.number("count"));
         const auto uit = byFp.find(fp);
         if (uit == byFp.end() || count < 1) {
-            // A fingerprint we never declared (mixed campaign with a
-            // differently-scoped fleet): let the assignment time out
+            // A fingerprint this phase did not declare (a fleet running
+            // differently-scoped campaigns): let the assignment time out
             // and land on a worker that can run it.
             std::fprintf(stderr,
                          "[sweep] dispatched unknown ledger %s; "
@@ -1257,12 +899,10 @@ SweepRunner::runConnected(std::vector<WorkUnit>& units)
             }
         }
         finalizeGroup(u.fingerprint, u.members, u.owner,
-                      /*executedNow=*/ranAny.count(u.fingerprint) > 0,
-                      /*skipped=*/false);
+                      /*executedNow=*/ranAny.count(u.fingerprint) > 0);
         if (opt_.progress)
             progressLine();
     }
-    client.close();
 }
 
 void
@@ -1309,39 +949,22 @@ SweepRunner::progressLine()
                       static_cast<double>(flips) /
                           static_cast<double>(done));
     }
-    // Lease telemetry (elastic mode only): ledgers taken over from dead
-    // or stale workers, and foreign lease expiries observed.
-    char lease[48] = "";
-    if (opt_.leaseSeconds > 0.0)
-        std::snprintf(lease, sizeof(lease), ", stolen=%lld expired=%lld",
-                      leasesStolen_.load(), leasesExpired_.load());
     std::fprintf(stderr,
                  "[sweep] progress: ledgers %zu/%zu, episodes %lld/%lld, "
-                 "%.1f eps/s, success %.1f%%%s%s, eta %s\n",
+                 "%.1f eps/s, success %.1f%%%s, eta %s\n",
                  unitsDone, unitsTotal, done, total, rate,
                  done > 0 ? 100.0 * static_cast<double>(succ) /
                                 static_cast<double>(done)
                           : 0.0,
-                 live, lease, eta);
+                 live, eta);
 }
 
 void
 SweepRunner::run()
 {
-    if (!ran_) {
-        if (opt_.resume && opt_.storePath.empty())
-            std::fprintf(stderr, "[sweep] --resume without a result store "
-                                 "(--out) has no effect\n");
-        if (opt_.shardCount > 1 && opt_.storePath.empty())
-            std::fprintf(stderr,
-                         "[sweep] --shard without a result store (--out) "
-                         "computes results other processes cannot see\n");
-        if (opt_.leaseSeconds > 0.0 && opt_.storePath.empty())
-            std::fprintf(stderr,
-                         "[sweep] --lease without a result store (--out) "
-                         "has no shared state to lease; running "
-                         "statically\n");
-    }
+    if (!ran_ && opt_.resume && opt_.storePath.empty())
+        std::fprintf(stderr, "[sweep] --resume without a result store "
+                             "(--out) has no effect\n");
 
     // Load the store on every run() call: campaigns can be phased (add()
     // more cells after a run, run again: only the new work executes).
@@ -1349,37 +972,10 @@ SweepRunner::run()
     // --resume (two campaigns can share one store); --resume additionally
     // seeds the ledgers from them.
     std::map<std::string, std::map<int, EpisodeRecord>> storedEps;
-    std::map<std::string, TaskStats> legacy;
     if (!opt_.storePath.empty())
-        loadStore(storedEps, legacy);
+        loadStore(storedEps);
 
     bool phaseHadWork = false;
-
-    // Legacy v1 records satisfy whole cells read-only (stats without a
-    // ledger) -- but only when the v2 ledger cannot already cover the
-    // cell (episodes beat opaque aggregates).
-    if (opt_.resume && !legacy.empty()) {
-        for (std::size_t i = 0; i < cells_.size(); ++i) {
-            CellState& st = cells_[i];
-            if (st.primary != i || st.done)
-                continue;
-            const auto it = legacy.find(sweepFingerprintLegacyV1(st.cell));
-            if (it == legacy.end())
-                continue;
-            const auto se = storedEps.find(st.fingerprint);
-            if (se != storedEps.end()) {
-                bool covered = true;
-                for (int k = 0; k < st.cell.reps && covered; ++k)
-                    covered = se->second.count(k) > 0;
-                if (covered)
-                    continue;
-            }
-            st.stats = it->second;
-            st.source = CellSource::Resumed;
-            st.done = true;
-            phaseHadWork = true;
-        }
-    }
 
     // Group the pending primary cells by ledger fingerprint (submission
     // order); the group's episode budget is its deepest cell's reps.
@@ -1430,53 +1026,17 @@ SweepRunner::run()
         }
         u.led = &led;
         if (!opt_.storePath.empty()) {
-            // Ledger meta record: lets tools (sweep-diff, progress
-            // viewers) label a fingerprint without re-deriving it.
-            const SweepCell& oc = cells_[u.owner].cell;
-            JsonRecord meta;
-            meta.name = fp;
-            meta.strings.emplace_back("platform", oc.platform);
-            meta.strings.emplace_back("label", oc.label);
-            meta.numbers.emplace_back("task", oc.taskId);
-            meta.numbers.emplace_back("seed0",
-                                      static_cast<double>(oc.seed0));
+            JsonRecord meta = ledgerMeta(fp, cells_[u.owner].cell);
             std::lock_guard<std::mutex> lock(storeIoMu_);
             pendingIo_.push_back(meta); // appended at the next flush
             storeRecords_[fp] = std::move(meta);
         }
         if (u.runs.empty()) {
-            finalizeGroup(fp, u.members, u.owner, /*executedNow=*/false,
-                          /*skipped=*/false);
+            finalizeGroup(fp, u.members, u.owner, /*executedNow=*/false);
             phaseHadWork = true;
         } else {
             units.push_back(std::move(u));
         }
-    }
-
-    // Distributed sharding: partition the pending-ledger list (ordered by
-    // fingerprint, so every process derives the same partition from the
-    // same store snapshot) and keep our share. Skipped ledgers complete
-    // with whatever local prefix they have -- the shared store's union is
-    // the campaign's real artifact.
-    if (opt_.shardCount > 1 && !units.empty()) {
-        std::sort(units.begin(), units.end(),
-                  [](const WorkUnit& a, const WorkUnit& b) {
-                      return a.fingerprint < b.fingerprint;
-                  });
-        std::vector<WorkUnit> mine;
-        for (std::size_t k = 0; k < units.size(); ++k) {
-            if (static_cast<int>(k % static_cast<std::size_t>(
-                                         opt_.shardCount)) ==
-                opt_.shardIndex) {
-                mine.push_back(std::move(units[k]));
-            } else {
-                finalizeGroup(units[k].fingerprint, units[k].members,
-                              units[k].owner, /*executedNow=*/false,
-                              /*skipped=*/true);
-                phaseHadWork = true;
-            }
-        }
-        units = std::move(mine);
     }
 
     // Progress accounting for this run().
@@ -1497,20 +1057,11 @@ SweepRunner::run()
     if (!units.empty())
         phaseHadWork = true;
 
-    // Elastic lease mode: the pending list is not a partition but a
-    // candidate pool -- claim, run, and re-scan until every ledger is
-    // done (by us or a peer). Units run serially in-process with the
-    // full thread budget fanned out inside each unit, so the per-width
-    // freeze constraint the wave scheduler exists for cannot arise and
-    // the wave/bucket path below is skipped entirely.
-    const bool elasticRun = opt_.leaseSeconds > 0.0 && !opt_.storePath.empty();
-    if (elasticRun)
-        runElastic(units);
-
     // Connected (coordinator) mode: the pending list is a candidate
     // pool the coordinator carves into episode ranges across the whole
     // fleet. Ranges run serially in-process (full thread budget inside
-    // each range), so the wave scheduler is skipped here too.
+    // each range), so the per-width freeze constraint the wave scheduler
+    // exists for cannot arise and the wave/bucket path below is skipped.
     const bool connectedRun = !opt_.connect.empty();
     if (connectedRun && !units.empty())
         runConnected(units);
@@ -1520,8 +1071,7 @@ SweepRunner::run()
     // not run concurrently. Bucket pending units by (platform, bits) in
     // first-appearance order and run the buckets sequentially.
     std::vector<std::pair<std::string, std::vector<std::size_t>>> buckets;
-    for (std::size_t k = 0; !elasticRun && !connectedRun && k < units.size();
-         ++k) {
+    for (std::size_t k = 0; !connectedRun && k < units.size(); ++k) {
         const SweepCell& c = cells_[units[k].owner].cell;
         const std::string key =
             c.platform + (c.cfg.bits == QuantBits::Int8 ? "|8" : "|4");
@@ -1596,7 +1146,7 @@ SweepRunner::run()
         flushStore(); // include resumed/meta records so the store is whole
 
     // Recount from cell state (idempotent across phased runs).
-    executed_ = memoized_ = resumed_ = sliced_ = skipped_ = 0;
+    executed_ = memoized_ = resumed_ = sliced_ = 0;
     for (std::size_t i = 0; i < cells_.size(); ++i) {
         const CellState& st = cells_[i];
         if (st.primary != i) {
@@ -1609,7 +1159,6 @@ SweepRunner::run()
           case CellSource::Executed: ++executed_; break;
           case CellSource::Resumed: ++resumed_; break;
           case CellSource::Sliced: ++sliced_; break;
-          case CellSource::Skipped: ++skipped_; break;
           case CellSource::Memoized: break; // primaries are never Memoized
         }
     }
@@ -1629,26 +1178,12 @@ SweepRunner::episodes(std::size_t handle)
         throw std::logic_error("SweepRunner::episodes before run()");
     if (st.hasEpisodes)
         return st.episodes;
-    // The cell's prefix of the shared ledger, when present (executed,
-    // sliced, or resumed from a v2 store).
-    const int want = st.source == CellSource::Skipped ? st.stats.episodes
-                                                      : st.cell.reps;
-    const auto lit = ledgers_.find(st.fingerprint);
-    if (lit != ledgers_.end() && lit->second.prefixLen(want) >= want) {
-        st.episodes.reserve(static_cast<std::size_t>(want));
-        for (int i = 0; i < want; ++i)
-            st.episodes.push_back(
-                lit->second.eps[static_cast<std::size_t>(i)].result);
-    } else {
-        // Legacy v1 resume: the store only held the aggregate. Re-derive
-        // the per-episode results; execution is deterministic, so these
-        // are exactly the episodes the stored stats came from.
-        EmbodiedSystem* proto = prototypeFor(st.cell.platform);
-        proto->prepare(st.cell.cfg);
-        proto->setEvalThreads(opt_.threads);
-        st.episodes = proto->runEpisodes(st.cell.taskId, st.cell.cfg,
-                                         st.cell.reps, st.cell.seed0);
-    }
+    // The cell's prefix of the shared ledger: run() completes a cell only
+    // once that prefix is whole (executed, sliced, resumed or fetched).
+    const Ledger& led = ledgers_.at(st.fingerprint);
+    st.episodes.reserve(static_cast<std::size_t>(st.cell.reps));
+    for (int i = 0; i < st.cell.reps; ++i)
+        st.episodes.push_back(led.eps[static_cast<std::size_t>(i)].result);
     st.hasEpisodes = true;
     return st.episodes;
 }
@@ -1656,24 +1191,12 @@ SweepRunner::episodes(std::size_t handle)
 std::string
 SweepRunner::summary() const
 {
-    char buf[256];
-    int n = std::snprintf(
-        buf, sizeof(buf),
-        "[sweep] cells=%zu executed=%d memoized=%d resumed=%d sliced=%d "
-        "eps=%lld",
-        cells_.size(), executed_, memoized_, resumed_, sliced_,
-        episodesExecuted_);
-    if (opt_.shardCount > 1 && n > 0 &&
-        n < static_cast<int>(sizeof(buf)))
-        std::snprintf(buf + n, sizeof(buf) - static_cast<std::size_t>(n),
-                      " shard=%d/%d skipped=%d", opt_.shardIndex,
-                      opt_.shardCount, skipped_);
-    else if (opt_.leaseSeconds > 0.0 && n > 0 &&
-             n < static_cast<int>(sizeof(buf)))
-        std::snprintf(buf + n, sizeof(buf) - static_cast<std::size_t>(n),
-                      " lease=%gs stolen=%lld expired=%lld",
-                      opt_.leaseSeconds, leasesStolen_.load(),
-                      leasesExpired_.load());
+    char buf[160];
+    std::snprintf(buf, sizeof(buf),
+                  "[sweep] cells=%zu executed=%d memoized=%d resumed=%d "
+                  "sliced=%d eps=%lld",
+                  cells_.size(), executed_, memoized_, resumed_, sliced_,
+                  episodesExecuted_);
     return buf;
 }
 

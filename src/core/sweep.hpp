@@ -28,35 +28,20 @@
  *    bit-identical to serial execution regardless of thread count. When
  *    ledgers are scarcer than workers the leftover budget fans out
  *    *within* a ledger via setEvalThreads (the ParallelEvaluator path).
- *  - Streaming result store: completed episodes flush to the JSON store
- *    in batches of Options::flushEvery (atomic tmp+rename writes that
- *    merge with the records already on disk), so a campaign killed
- *    mid-cell resumes from the surviving episode prefix instead of
- *    re-running the cell. Legacy cell-level (v1) stores are still read --
- *    served read-only for whole-cell resume, never merged into ledgers.
- *  - Distributed sharding: Options::shardIndex/shardCount partition the
- *    pending-ledger list (post-memoization, post-resume, ordered by
- *    fingerprint) so N processes sharing one --out store cover a
- *    campaign exactly once. Each flush re-merges with the store on disk,
- *    so concurrent shards union rather than clobber. The partition is
- *    computed from the pending list each process observes at startup:
- *    launch all shards against the same store snapshot (or none), not
- *    against each other's partial output.
- *  - Elastic lease mode (Options::leaseSeconds > 0): instead of a static
- *    partition, every process claims the stalest unclaimed/expired ledger
- *    under the store's cross-process flock, writing a per-fingerprint
- *    lease record ({owner host:pid, generation, renewedAt, done}) that it
- *    renews on every flush. A worker that dies (kill -9, OOM, chaos
- *    abort) simply stops renewing: within one lease period a survivor
- *    steals the ledger (generation bump) and gap-fills only the episode
- *    indices missing from the store -- the same exactly-once primitive
- *    --resume uses -- so the campaign completes with zero manual
- *    intervention and the final store is bit-identical to a serial run.
- *    A straggler whose lease is stolen keeps running; its flushes merge
- *    idempotently (episodes are deterministic) and it stops renewing the
- *    lost lease. Lease expiry compares wall clocks across machines, so
- *    hosts sharing a store should be NTP-synced with skew << the lease
- *    period.
+ *  - Streaming result store: completed episodes flush to the store in
+ *    batches of Options::flushEvery (json: atomic tmp+rename rewrites;
+ *    binlog: O(batch) appends), so a campaign killed mid-cell resumes
+ *    from the surviving episode prefix instead of re-running the cell.
+ *    A store has one writer process at a time -- this runner, or the
+ *    create-coordinator that owns it -- so flushes take no
+ *    cross-process lock and never re-read the disk.
+ *  - One process or a coordinator fleet: a campaign runs on local
+ *    threads, or as Options::connect socket workers of a
+ *    create-coordinator (core/coordinator.hpp), which owns the store and
+ *    dispatches episode ranges with exactly-once gap-fill, re-dispatch
+ *    on timeout and salvage on restart. A worker keeps its coordinator
+ *    connection across phased run() calls, so a campaign steered by its
+ *    own results (fig16) spans phases on one connection.
  *
  * Scheduling constraint: freezing quantized weights is per-width state on
  * the shared model set, so cells of the same platform at different
@@ -65,7 +50,6 @@
  * serially (prepare) before fanning its ledgers out.
  */
 
-#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <map>
@@ -80,6 +64,8 @@
 #include "core/store_backend.hpp"
 
 namespace create {
+
+class CoordClient;
 
 /** One (platform, task, config, repetitions) point of a campaign. */
 struct SweepCell
@@ -99,23 +85,16 @@ enum class CellSource
     Memoized, //!< shared an earlier identical cell's result (same reps)
     Resumed,  //!< loaded from the resume store without executing
     Sliced,   //!< prefix of a longer ledger executed in this campaign
-    Skipped,  //!< owned by another shard; stats cover the local prefix only
 };
 
 /**
  * Canonical fingerprint of a cell's *ledger*: equal behavior => equal
  * string. `reps` is canonicalized away (episodes are seeded seed0 + i, so
  * reps is a prefix length, not part of the identity), as is anything that
- * cannot affect execution. Keys memoization, the result store, and shard
- * partitioning.
+ * cannot affect execution. Keys memoization, the result store, and the
+ * coordinator's range dispatch.
  */
 std::string sweepFingerprint(const SweepCell& cell);
-
-/**
- * The PR 4-era cell fingerprint (includes reps). Only used by the store
- * migration read path to match records in legacy cell-level stores.
- */
-std::string sweepFingerprintLegacyV1(const SweepCell& cell);
 
 /** Kept only for the campaign benchmark's `batch_*` report fields. */
 struct BatchStats
@@ -124,7 +103,7 @@ struct BatchStats
 };
 
 // The store schema version and record-key grammar (sweepEpisodeKey,
-// sweepLeaseKey, ...) live in common/store_keys.hpp: both storage
+// sweepWorkerKey, ...) live in common/store_keys.hpp: both storage
 // backends (JSON interchange and the binary append log) and the store
 // readers share them, so they sit below the sweep layer.
 
@@ -147,19 +126,6 @@ class SweepRunner
         bool verbose = false;  //!< per-ledger progress lines on stderr
         bool progress = false; //!< one stderr status line per flush batch
         int flushEvery = 16;   //!< episodes per store flush / progress tick
-        int shardIndex = 0;    //!< this process's shard (0-based)
-        int shardCount = 1;    //!< total shards; 1 disables partitioning
-        /**
-         * Elastic lease mode: > 0 replaces the static shard partition
-         * with lease-based work claiming against the shared store (see
-         * file comment). The value is the steal latency bound: a dead
-         * worker's ledger is reclaimed once its lease has not been
-         * renewed for this many seconds. Renewals ride on flushes, so
-         * keep leaseSeconds comfortably above the worst-case flush
-         * interval (flushEvery x slowest episode). 0 (default) keeps the
-         * pre-lease behavior bit-identical.
-         */
-        double leaseSeconds = 0.0;
         /**
          * Connected campaign mode: "host:port" of a create-coordinator
          * process (tools/create_coordinator, core/coordinator.hpp) that
@@ -168,15 +134,17 @@ class SweepRunner
          * and streams completed records back as binlog frames -- no
          * shared filesystem (and no local store) required. Episodes
          * another worker ran are fetched back over the wire at the end,
-         * so stats() folds are bit-identical to a serial run. Mutually
-         * exclusive with the shared-store options (storePath, resume,
-         * shard*, leaseSeconds): the coordinator owns all store state.
+         * so stats() folds are bit-identical to a serial run. The
+         * connection stays open across phased run() calls and closes
+         * with the runner. Mutually exclusive with storePath and resume:
+         * the coordinator owns all store state.
          */
         std::string connect;
     };
 
     SweepRunner();
     explicit SweepRunner(Options opt);
+    ~SweepRunner();
     SweepRunner(const SweepRunner&) = delete;
     SweepRunner& operator=(const SweepRunner&) = delete;
 
@@ -207,22 +175,14 @@ class SweepRunner
 
     /**
      * Aggregated stats of a cell: the deterministic fold of its ledger
-     * prefix (run() must have completed). For a Skipped cell (sharded
-     * campaign, owned by another process) this covers only the episodes
-     * present locally -- possibly none.
+     * prefix (run() must have completed).
      */
     const TaskStats& stats(std::size_t handle) const;
 
     /** How this cell's result was obtained. */
     CellSource source(std::size_t handle) const;
 
-    /**
-     * Per-episode results of a cell: its prefix of the shared ledger.
-     * Cells resumed from a v2 store read them directly; cells resumed
-     * from a legacy v1 store re-derive them on demand by re-running
-     * (deterministic, so the results are the ones the stored stats came
-     * from).
-     */
+    /** Per-episode results of a cell: its prefix of the shared ledger. */
     const std::vector<EpisodeResult>& episodes(std::size_t handle);
 
     /**
@@ -235,19 +195,9 @@ class SweepRunner
     int memoizedCells() const { return memoized_; }
     int resumedCells() const { return resumed_; }
     int slicedCells() const { return sliced_; }
-    int skippedCells() const { return skipped_; }
 
     /** Episodes actually executed by this runner (campaign lifetime). */
     long long episodesExecuted() const { return episodesExecuted_; }
-
-    /** Leases taken over from another (dead or stale) worker. */
-    long long leasesStolen() const { return leasesStolen_.load(); }
-
-    /** Expired foreign leases observed while scanning for work. */
-    long long leasesExpired() const { return leasesExpired_.load(); }
-
-    /** The worker identity lease records carry ("host:pid.seq"). */
-    const std::string& workerId() const { return workerId_; }
 
     /** Always zero; see BatchStats. */
     BatchStats batchStats() const { return {}; }
@@ -293,31 +243,21 @@ class SweepRunner
     class StoreSink; //!< EpisodeSink streaming a unit's episodes in
     class CoordSink; //!< EpisodeSink streaming a range to the coordinator
 
-    /** In-memory side of a lease this worker holds (keyed by fp). */
-    struct ActiveLease
-    {
-        std::uint64_t gen = 0;
-        bool done = false;
-    };
-
     EmbodiedSystem* prototypeFor(const std::string& platform);
     void runUnit(WorkUnit& unit, EmbodiedSystem& sys);
+    /** Land one completed episode in its ledger and the progress
+     *  accounting; both sinks call it with storeMu_ held. */
+    void landEpisodeLocked(Ledger& ledger, int index,
+                           const EpisodeRecord& rec);
     void finalizeGroup(const std::string& fingerprint,
                        const std::vector<std::size_t>& members,
-                       std::size_t owner, bool executedNow, bool skipped);
-    void loadStore(std::map<std::string, std::map<int, EpisodeRecord>>& eps,
-                   std::map<std::string, TaskStats>& legacy);
+                       std::size_t owner, bool executedNow);
+    void loadStore(std::map<std::string, std::map<int, EpisodeRecord>>& eps);
     void flushStore();
     void progressLine();
-    // Elastic lease mode (all under storeIoMu_ unless noted).
-    void runElastic(std::vector<WorkUnit>& units); //!< takes no locks itself
     // Connected (coordinator) mode: run dispatched ranges, stream the
     // records back, fetch peers' episodes at the end.
     void runConnected(std::vector<WorkUnit>& units);
-    WorkUnit* claimNext(std::vector<WorkUnit*>& pending);
-    void gapFillFromStore(WorkUnit& unit);
-    void mergeDiskRecordLocked(JsonRecord&& rec);
-    void renewLeasesLocked(double now, std::vector<JsonRecord>& batch);
     StoreBackend* ensureBackendLocked();
     bool persistLocked(const std::vector<JsonRecord>& batch,
                        std::string* error);
@@ -334,11 +274,10 @@ class SweepRunner
         replicas_;
     /**
      * Store records by name: everything loaded from disk plus every
-     * flushed episode. Flushes write this merged view (re-merged, under
-     * a cross-process file lock, with whatever is on disk when shards
-     * share the store), so records another campaign or shard needs are
-     * never dropped by a rewrite. Owned by the flush path: only touched
-     * under storeIoMu_ (or before workers start).
+     * flushed episode. Flushes write this merged view, so records
+     * another campaign needs are never dropped by a rewrite. Owned by
+     * the flush path: only touched under storeIoMu_ (or before workers
+     * start).
      */
     std::map<std::string, JsonRecord> storeRecords_;
     /**
@@ -349,11 +288,11 @@ class SweepRunner
     std::vector<JsonRecord> pendingRecords_;
     /**
      * Records produced on the I/O path since the last flush (ledger meta
-     * stamps, renewed/claimed leases written directly into storeRecords_)
-     * that appending backends still owe the disk. Guarded by storeIoMu_;
-     * flushStore folds it into the flush batch. Rewriting backends write
-     * the whole merged view anyway, so for them this is only a
-     * should-we-skip signal.
+     * stamps written directly into storeRecords_) that appending
+     * backends still owe the disk. Guarded by storeIoMu_; flushStore
+     * folds it into the flush batch. Rewriting backends write the whole
+     * merged view anyway, so for them this is only a should-we-skip
+     * signal.
      */
     std::vector<JsonRecord> pendingIo_;
     /** The storage backend behind storePath (lazily opened; reset when a
@@ -365,23 +304,18 @@ class SweepRunner
     std::uint64_t storeVersion_ = 0; //!< bumped per flush batch
     std::uint64_t storeWritten_ = 0; //!< newest version on disk
     int flushTick_ = 0;              //!< episodes since the last flush
-    /**
-     * Elastic lease state. workerId_ is fixed at construction; the lease
-     * map and the expiry-dedup set live under storeIoMu_ (claims and
-     * renewals happen inside the store's locked read-merge-write). The
-     * telemetry counters are atomics so the progress line and summary
-     * read them lock-free.
-     */
+    /** "host:pid.seq": names this runner's binlog append log and, in
+     *  connected mode, its coordinator hello and episode `by` stamps. */
     std::string workerId_;
-    std::map<std::string, ActiveLease> activeLeases_;
-    std::map<std::string, std::uint64_t> expiredSeen_; //!< fp -> max gen
-    std::atomic<long long> leasesStolen_{0};
-    std::atomic<long long> leasesExpired_{0};
+    /** The coordinator connection of connected mode: opened by the
+     *  first run() with work, kept across phases, and closed with a
+     *  `bye` by the destructor (a --once coordinator exits when its
+     *  fleet is gone). */
+    std::unique_ptr<CoordClient> coord_;
     int executed_ = 0;
     int memoized_ = 0;
     int resumed_ = 0;
     int sliced_ = 0;
-    int skipped_ = 0;
     long long episodesExecuted_ = 0;
     // Progress accounting of the current run() (guarded by storeMu_).
     long long progressTotal_ = 0;

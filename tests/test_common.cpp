@@ -353,20 +353,16 @@ TEST(Chaos, SpecParsingClampsAndIgnoresGarbage)
     EXPECT_FALSE(parseChaosSpec("").enabled());
     EXPECT_FALSE(parseChaosSpec("bogus=1,junk,=,x=").enabled());
 
-    const chaos::Config cfg =
-        parseChaosSpec("abort=0.05,tear=0.3,renewdelay=250");
+    const chaos::Config cfg = parseChaosSpec("abort=0.05,tear=0.3");
     EXPECT_TRUE(cfg.enabled());
     EXPECT_DOUBLE_EQ(cfg.abortBeforeFlush, 0.05);
     EXPECT_DOUBLE_EQ(cfg.tearWrite, 0.3);
-    EXPECT_EQ(cfg.renewDelayMs, 250);
 
-    // Probabilities clamp to [0, 1]; delays clamp to [0, 60000]; and a
-    // malformed value disables that fault rather than misfiring.
-    const chaos::Config clamped =
-        parseChaosSpec("abort=7,tear=-3,renewdelay=999999");
+    // Probabilities clamp to [0, 1], and a malformed value disables that
+    // fault rather than misfiring.
+    const chaos::Config clamped = parseChaosSpec("abort=7,tear=-3");
     EXPECT_DOUBLE_EQ(clamped.abortBeforeFlush, 1.0);
     EXPECT_DOUBLE_EQ(clamped.tearWrite, 0.0);
-    EXPECT_EQ(clamped.renewDelayMs, 60000);
-    const chaos::Config bad = parseChaosSpec("abort=xyz,renewdelay=2x");
+    const chaos::Config bad = parseChaosSpec("abort=xyz,connreset=2x");
     EXPECT_FALSE(bad.enabled());
 }

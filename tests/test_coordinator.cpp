@@ -2,13 +2,18 @@
  *  incremental StreamDecoder decode under adversarial chunking (1-byte
  *  drips, random chunk sizes, partial trailing frames), corruption and
  *  foreign-magic failure modes, the coord| control-record grammar, and
- *  an in-process end-to-end campaign -- coordinator + two concurrent
- *  socket workers + one deserting client -- certified bit-identical to
- *  a serial run, with the deserter's range re-dispatched. */
+ *  in-process end-to-end campaigns certified bit-identical to a serial
+ *  run: coordinator + two concurrent socket workers + one deserting
+ *  client (whose range is re-dispatched), a phased worker that spans
+ *  two run() calls on one connection, a --once coordinator outliving
+ *  a worker that dropped without `bye`, and resume from an existing
+ *  store with and without episode holes (cross-process gap-fill). */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <random>
@@ -33,11 +38,11 @@ using testutil::expectIdentical;
 
 namespace {
 
-/** Remove a store of either format (json file or binlog dir) + sidecar. */
+/** Remove a store of either format (json file or binlog dir). */
 void
 removeStoreAnyFormat(const std::string& path)
 {
-    const std::string rm = "rm -rf '" + path + "' '" + path + ".lock'";
+    const std::string rm = "rm -rf '" + path + "'";
     ASSERT_EQ(std::system(rm.c_str()), 0);
 }
 
@@ -286,7 +291,7 @@ TEST(Coordinator, SocketCampaignBitIdenticalAndRedispatchesDeserters)
     // matrix, one of them fanning each range out over two evaluator
     // threads (concurrent completions into one range sink). The workers'
     // folded stats and the coordinator's store must both be bit-identical
-    // to a serial filesystem campaign.
+    // to a serial local campaign.
     const std::string store = "/tmp/create_test_coord_e2e.blog";
     const std::string serial = "/tmp/create_test_coord_e2e_serial.json";
     removeStoreAnyFormat(store);
@@ -298,7 +303,7 @@ TEST(Coordinator, SocketCampaignBitIdenticalAndRedispatchesDeserters)
     co.storePath = store;
     co.storeFormat = StoreFormat::Binlog;
     co.once = true;
-    co.leaseSeconds = 30.0;
+    co.rangeTimeoutSeconds = 30.0;
     co.rangeEpisodes = 2;
     Coordinator coord(co);
     std::string error;
@@ -329,23 +334,31 @@ TEST(Coordinator, SocketCampaignBitIdenticalAndRedispatchesDeserters)
         deserter.close();
     }
 
-    const std::string hostPort =
-        "127.0.0.1:" + std::to_string(coord.port());
-    SweepRunner::Options wo;
-    wo.connect = hostPort;
-    SweepRunner::Options wo2 = wo;
-    wo2.threads = 2;
-    SweepRunner w1(wo), w2(wo2);
-    std::vector<std::size_t> h1, h2;
-    for (const auto& c : cells) {
-        h1.push_back(w1.add(c));
-        h2.push_back(w2.add(c));
+    std::vector<TaskStats> s1, s2;
+    {
+        // Workers keep their coordinator connection until they are
+        // destroyed, and a --once coordinator exits only once its fleet
+        // is gone: their scope ends before serve.join().
+        SweepRunner::Options wo;
+        wo.connect = "127.0.0.1:" + std::to_string(coord.port());
+        SweepRunner::Options wo2 = wo;
+        wo2.threads = 2;
+        SweepRunner w1(wo), w2(wo2);
+        std::vector<std::size_t> h1, h2;
+        for (const auto& c : cells) {
+            h1.push_back(w1.add(c));
+            h2.push_back(w2.add(c));
+        }
+        std::thread t1([&] { w1.run(); });
+        std::thread t2([&] { w2.run(); });
+        t1.join();
+        t2.join();
+        for (std::size_t i = 0; i < cells.size(); ++i) {
+            s1.push_back(w1.stats(h1[i]));
+            s2.push_back(w2.stats(h2[i]));
+        }
     }
-    std::thread t1([&] { w1.run(); });
-    std::thread t2([&] { w2.run(); });
-    t1.join();
-    t2.join();
-    serve.join(); // --once: exits when every declared fp completed
+    serve.join(); // --once: every declared fp completed, fleet gone
 
     EXPECT_GE(coord.rangesRedispatched(), 1); // the deserter's range
     EXPECT_GE(coord.episodesIngested(),
@@ -362,12 +375,12 @@ TEST(Coordinator, SocketCampaignBitIdenticalAndRedispatchesDeserters)
     fresh.run();
     for (std::size_t i = 0; i < cells.size(); ++i) {
         SCOPED_TRACE(i);
-        expectIdentical(fresh.stats(hf[i]), w1.stats(h1[i]));
-        expectIdentical(fresh.stats(hf[i]), w2.stats(h2[i]));
+        expectIdentical(fresh.stats(hf[i]), s1[i]);
+        expectIdentical(fresh.stats(hf[i]), s2[i]);
     }
 
     // ... and the coordinator's store diffs clean against it, with every
-    // episode attributed and the coordinator holding every lease.
+    // episode attributed to the socket worker that ran it.
     std::vector<StoreCell> coordCells, serialCells;
     std::vector<JsonRecord> workerRecs;
     ASSERT_TRUE(loadStoreCells(store, coordCells, error, &workerRecs))
@@ -377,6 +390,12 @@ TEST(Coordinator, SocketCampaignBitIdenticalAndRedispatchesDeserters)
         diffStoreCells(coordCells, serialCells, StoreDiffOptions{});
     EXPECT_TRUE(res.clean());
     EXPECT_EQ(res.compared, static_cast<int>(cells.size()));
+    for (const StoreCell& cell : coordCells) {
+        int attributed = 0;
+        for (const auto& [owner, n] : cell.episodeOwners)
+            attributed += n;
+        EXPECT_EQ(attributed, cell.episodes) << cell.fingerprint;
+    }
 
     // The worker| telemetry surfaced through the reader stack: range
     // counters balance (every assigned range was completed or
@@ -402,46 +421,232 @@ TEST(Coordinator, SocketCampaignBitIdenticalAndRedispatchesDeserters)
     removeStoreAnyFormat(serial);
 }
 
+TEST(Coordinator, PhasedWorkerKeepsItsConnectionAcrossRuns)
+{
+    // A campaign steered by its own results (fig16's fallback cells)
+    // declares a second phase after the first run(). The worker must
+    // declare it on the connection its first phase opened: closing in
+    // between would let the --once coordinator see a complete, idle
+    // fleet and exit before phase 2 could reach it.
+    const std::string store = "/tmp/create_test_coord_phased.blog";
+    removeStoreAnyFormat(store);
+    const int reps = 3;
+    const auto cells = campaignCells(reps);
+
+    Coordinator::Options co;
+    co.storePath = store;
+    co.storeFormat = StoreFormat::Binlog;
+    co.once = true;
+    Coordinator coord(co);
+    std::string error;
+    ASSERT_TRUE(coord.start(&error)) << error;
+    std::atomic<bool> served{false};
+    std::thread serve([&] {
+        coord.runLoop();
+        served = true;
+    });
+
+    std::vector<TaskStats> got;
+    long long executed = 0;
+    {
+        SweepRunner::Options wo;
+        wo.connect = "127.0.0.1:" + std::to_string(coord.port());
+        SweepRunner worker(wo);
+        std::vector<std::size_t> hs{worker.add(cells[0]),
+                                    worker.add(cells[1])};
+        worker.run();
+        // Phase 1 is complete and the fleet idle: give a coordinator
+        // that lost its last connection time to exit (its poll wakes
+        // at least every 100 ms) and fail fast rather than hang.
+        std::this_thread::sleep_for(std::chrono::milliseconds(300));
+        if (served) {
+            serve.join();
+            FAIL() << "the --once coordinator exited between phases";
+        }
+        hs.push_back(worker.add(cells[2]));
+        worker.run();
+        executed = worker.episodesExecuted();
+        for (const std::size_t h : hs)
+            got.push_back(worker.stats(h));
+    }
+    serve.join();
+
+    EXPECT_EQ(executed, static_cast<long long>(cells.size()) * reps);
+    EXPECT_EQ(coord.episodesIngested(),
+              static_cast<long long>(cells.size()) * reps);
+    EXPECT_EQ(coord.rangesRedispatched(), 0);
+    SweepRunner fresh;
+    for (const auto& c : cells)
+        fresh.add(c);
+    fresh.run();
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+        SCOPED_TRACE(i);
+        expectIdentical(fresh.stats(i), got[i]);
+    }
+    removeStoreAnyFormat(store);
+}
+
+TEST(Coordinator, OnceWaitsForAWorkerThatDroppedWithoutBye)
+{
+    // A connection reset at the very end of a campaign (a `fetch` cut
+    // by `connreset`) looks like a close, and the campaign is complete.
+    // If the other workers have already left, a --once coordinator must
+    // still give the dropped worker its grace to reconnect and fetch,
+    // instead of exiting under it; workers that said `bye` cost nothing.
+    const std::string store = "/tmp/create_test_coord_rejoin.blog";
+    removeStoreAnyFormat(store);
+    const int reps = 2;
+    const SweepCell cell = campaignCells(reps)[1];
+    const std::string fp = sweepFingerprint(cell);
+
+    Coordinator::Options co;
+    co.storePath = store;
+    co.storeFormat = StoreFormat::Binlog;
+    co.once = true;
+    Coordinator coord(co);
+    std::string error;
+    ASSERT_TRUE(coord.start(&error)) << error;
+    std::atomic<bool> served{false};
+    std::thread serve([&] {
+        coord.runLoop();
+        served = true;
+    });
+
+    // Declare the ledger and fetch it until `fetched`; returns the
+    // episodes received.
+    const auto fetchAll = [&](CoordClient& c) -> int {
+        JsonRecord need = coordwire::control("need");
+        need.strings.emplace_back("fp", fp);
+        need.numbers.emplace_back("need", reps);
+        JsonRecord fetch = coordwire::control("fetch");
+        fetch.strings.emplace_back("fp", fp);
+        fetch.numbers.emplace_back("need", reps);
+        if (!c.send(std::vector<JsonRecord>{need, fetch}, &error))
+            return -1;
+        int episodes = 0;
+        JsonRecord rec;
+        std::string verb;
+        while (c.recv(rec, &error)) {
+            if (!coordwire::isControl(rec, &verb))
+                ++episodes;
+            else if (verb == "fetched")
+                return episodes;
+        }
+        return -1;
+    };
+    {
+        SweepRunner::Options wo;
+        wo.connect = "127.0.0.1:" + std::to_string(coord.port());
+        SweepRunner worker(wo);
+        worker.add(cell);
+        worker.run();
+        CoordClient dropped;
+        ASSERT_TRUE(dropped.connect("127.0.0.1", coord.port(),
+                                    "dropped:1.1", 3, &error))
+            << error;
+        EXPECT_EQ(fetchAll(dropped), reps);
+        dropped.close(); // no bye: the shape of a reset
+    } // the worker says bye and leaves: the fleet is empty, all complete
+    std::this_thread::sleep_for(std::chrono::milliseconds(300));
+    if (served) {
+        serve.join();
+        FAIL() << "the --once coordinator exited under a dropped worker";
+    }
+    CoordClient back;
+    ASSERT_TRUE(back.connect("127.0.0.1", coord.port(), "dropped:1.1", 3,
+                             &error))
+        << error;
+    EXPECT_EQ(fetchAll(back), reps);
+    EXPECT_TRUE(back.send(coordwire::control("bye"), &error)) << error;
+    back.close();
+    serve.join();
+    EXPECT_EQ(coord.episodesIngested(), reps);
+    removeStoreAnyFormat(store);
+}
+
 TEST(Coordinator, ResumesFromExistingStoreWithoutReexecution)
 {
     // Crash-recovery shape: a serial campaign's store handed to a
-    // (restarted) coordinator must satisfy a socket worker with ZERO
-    // episodes executed -- the bitmap seeds from disk, the worker gets
-    // fin after fetching the stored ledgers, and its stats still fold
-    // bit-identically.
+    // (restarted) coordinator. Whole, it must satisfy a socket worker
+    // with ZERO episodes executed -- the bitmap seeds from disk and the
+    // worker gets fin after fetching the stored ledgers. With holes
+    // (episodes 1-2 of ledger 0 and episode 1 of ledger 2 missing, the
+    // shape a kill mid-flush leaves), the worker must execute exactly
+    // those 3 episodes. Either way its stats fold bit-identically and
+    // the store ends equal to the serial one.
+    const std::string full = "/tmp/create_test_coord_resume_full.json";
     const std::string store = "/tmp/create_test_coord_resume.json";
-    removeStoreAnyFormat(store);
+    removeStoreAnyFormat(full);
     const auto cells = campaignCells(3);
     SweepRunner::Options so;
-    so.storePath = store;
+    so.storePath = full;
     SweepRunner seed(so);
     std::vector<std::size_t> hs;
     for (const auto& c : cells)
         hs.push_back(seed.add(c));
     seed.run();
+    std::vector<JsonRecord> fullRecords;
+    ASSERT_TRUE(readJsonRecords(full, fullRecords));
 
-    Coordinator::Options co;
-    co.storePath = store; // json store: the coordinator adopts its format
-    co.once = true;
-    Coordinator coord(co);
-    std::string error;
-    ASSERT_TRUE(coord.start(&error)) << error;
-    std::thread serve([&] { coord.runLoop(); });
+    struct Input
+    {
+        const char* name;
+        std::vector<std::string> holes;
+        long long executed;
+    };
+    const Input inputs[] = {
+        {"whole store", {}, 0},
+        {"store with holes",
+         {sweepEpisodeKey(sweepFingerprint(cells[0]), 1),
+          sweepEpisodeKey(sweepFingerprint(cells[0]), 2),
+          sweepEpisodeKey(sweepFingerprint(cells[2]), 1)},
+         3},
+    };
+    for (const Input& in : inputs) {
+        SCOPED_TRACE(in.name);
+        removeStoreAnyFormat(store);
+        std::vector<JsonRecord> records;
+        for (const JsonRecord& r : fullRecords)
+            if (std::find(in.holes.begin(), in.holes.end(), r.name) ==
+                in.holes.end())
+                records.push_back(r);
+        ASSERT_EQ(records.size(), fullRecords.size() - in.holes.size());
+        ASSERT_TRUE(writeJsonRecords(store, records));
 
-    SweepRunner::Options wo;
-    wo.connect = "127.0.0.1:" + std::to_string(coord.port());
-    SweepRunner worker(wo);
-    std::vector<std::size_t> hw;
-    for (const auto& c : cells)
-        hw.push_back(worker.add(c));
-    worker.run();
-    serve.join();
+        Coordinator::Options co;
+        co.storePath = store; // json store: the coordinator adopts it
+        co.once = true;
+        Coordinator coord(co);
+        std::string error;
+        ASSERT_TRUE(coord.start(&error)) << error;
+        std::thread serve([&] { coord.runLoop(); });
 
-    EXPECT_EQ(worker.episodesExecuted(), 0);
-    EXPECT_EQ(coord.rangesDispatched(), 0);
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-        SCOPED_TRACE(i);
-        expectIdentical(seed.stats(hs[i]), worker.stats(hw[i]));
+        std::vector<TaskStats> got;
+        long long executed = 0;
+        {
+            SweepRunner::Options wo;
+            wo.connect = "127.0.0.1:" + std::to_string(coord.port());
+            SweepRunner worker(wo);
+            std::vector<std::size_t> hw;
+            for (const auto& c : cells)
+                hw.push_back(worker.add(c));
+            worker.run();
+            executed = worker.episodesExecuted();
+            for (const std::size_t h : hw)
+                got.push_back(worker.stats(h));
+        }
+        serve.join();
+
+        EXPECT_EQ(executed, in.executed);
+        EXPECT_EQ(coord.episodesIngested(), in.executed);
+        if (in.holes.empty())
+            EXPECT_EQ(coord.rangesDispatched(), 0);
+        for (std::size_t i = 0; i < cells.size(); ++i) {
+            SCOPED_TRACE(i);
+            expectIdentical(seed.stats(hs[i]), got[i]);
+        }
+        EXPECT_TRUE(diffStores(full, store).clean());
     }
     removeStoreAnyFormat(store);
+    removeStoreAnyFormat(full);
 }

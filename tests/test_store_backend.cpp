@@ -54,7 +54,7 @@ spew(const std::string& path, const std::string& bytes)
 void
 removeStore(const std::string& path)
 {
-    const std::string rm = "rm -rf '" + path + "' '" + path + ".lock'";
+    const std::string rm = "rm -rf '" + path + "'";
     ASSERT_EQ(std::system(rm.c_str()), 0);
 }
 
@@ -349,34 +349,19 @@ TEST(StoreBackend, JsonToBinlogToJsonIsByteIdentical)
     removeStore(json2);
 }
 
-TEST(StoreBackend, ShardLogsMergeWithLeaseGenerationRule)
+TEST(StoreBackend, WriterLogsMergeLaterLogWins)
 {
-    // Two workers sharing one binlog store append to their own logs.
-    // The merged view must fold duplicate episode keys
-    // later-log-wins... except leases, where the generation rule decides
-    // regardless of which log sorts later -- a recorded steal must never
-    // be resurrected by the victim's file position.
+    // Two writers that shared one binlog store (say a campaign and the
+    // coordinator it was later handed to) each append to their own log.
+    // The merged view folds duplicate keys later-log-wins.
     const std::string dir = "/tmp/create_test_binlog_shards";
     removeStore(dir);
     const std::string fp = "v2|jarvis-1|t5|cfg|s0";
-
-    const auto makeLease = [&](const std::string& owner, double gen) {
-        JsonRecord lr;
-        lr.name = sweepLeaseKey(fp);
-        lr.strings.emplace_back("owner", owner);
-        lr.numbers.emplace_back("gen", gen);
-        lr.numbers.emplace_back("renewedAt", 1000.0 + gen);
-        lr.numbers.emplace_back("done", 0.0);
-        return lr;
-    };
-    // Worker "a" sorts lexicographically FIRST but holds the HIGHER
-    // lease generation (it stole from "b").
     {
         const auto a = openStoreBackend(dir, StoreFormat::Binlog, "a");
         std::map<std::string, JsonRecord> view;
         std::vector<JsonRecord> batch;
         batch.push_back(makeRecord(sweepEpisodeKey(fp, 0), 1.0));
-        batch.push_back(makeLease("a", 2.0));
         for (const JsonRecord& r : batch)
             view[r.name] = r;
         std::string error;
@@ -390,7 +375,6 @@ TEST(StoreBackend, ShardLogsMergeWithLeaseGenerationRule)
         dup.strings.emplace_back("by", "b");
         batch.push_back(dup);
         batch.push_back(makeRecord(sweepEpisodeKey(fp, 1), 3.0));
-        batch.push_back(makeLease("b", 1.0));
         for (const JsonRecord& r : batch)
             view[r.name] = r;
         std::string error;
@@ -401,15 +385,10 @@ TEST(StoreBackend, ShardLogsMergeWithLeaseGenerationRule)
     StoreLoadInfo info;
     ASSERT_TRUE(reader->load(out, &info, false));
     EXPECT_EQ(info.files, 2u);
-    ASSERT_EQ(out.size(), 3u); // ep#0 (deduped), ep#1, one lease
-    for (const JsonRecord& r : out) {
-        if (sweepLeaseFingerprint(r.name)) {
-            EXPECT_EQ(r.text("owner"), "a"); // higher gen, earlier file
-            EXPECT_EQ(r.number("gen"), 2.0);
-        } else if (r.name == sweepEpisodeKey(fp, 0)) {
-            EXPECT_EQ(r.text("by"), "b"); // data: later log wins
-        }
-    }
+    ASSERT_EQ(out.size(), 2u); // ep#0 (deduped), ep#1
+    for (const JsonRecord& r : out)
+        if (r.name == sweepEpisodeKey(fp, 0))
+            EXPECT_EQ(r.text("by"), "b"); // later log wins
     removeStore(dir);
 }
 

@@ -1,8 +1,9 @@
 /** @file Tests for the episode-record JSON round trip and the sweep-diff
  *  store comparator: bit-exact ledger round trips, clean verdicts on
  *  identical stores, tolerance handling, new/missing cells, episode-count
- *  mismatches, and legacy v1 aggregate comparison. All stores here are
- *  synthesized records -- no models run. */
+ *  mismatches, metrics drift, torn-store salvage, and scheduling records
+ *  that never compare. All stores here are synthesized records -- no
+ *  models run. */
 
 #include <gtest/gtest.h>
 
@@ -226,34 +227,6 @@ TEST(StoreDiff, DetectsEpisodeCountMismatch)
     std::remove(b.c_str());
 }
 
-TEST(StoreDiff, ComparesLegacyV1Aggregates)
-{
-    const std::string a = "/tmp/create_test_diff_a.json";
-    const std::string b = "/tmp/create_test_diff_b.json";
-    auto writeV1 = [](const std::string& path, double successRate) {
-        JsonRecord rec;
-        rec.name = "v1|jarvis-1|task=0|reps=4|seed0=1000|tech=---";
-        rec.numbers.emplace_back("episodes", 4);
-        rec.numbers.emplace_back("successes", successRate * 4);
-        for (const auto& [key, member] : kTaskStatFields) {
-            (void)member;
-            rec.numbers.emplace_back(key, key == std::string("successRate")
-                                              ? successRate
-                                              : 1.5);
-        }
-        ASSERT_TRUE(writeJsonRecords(path, {rec}));
-    };
-    writeV1(a, 0.75);
-    writeV1(b, 0.75);
-    EXPECT_TRUE(diffStores(a, b).clean());
-    writeV1(b, 0.5); // successes change too -> episode/success mismatch
-    const StoreDiffResult res = diffStores(a, b);
-    ASSERT_EQ(res.entries.size(), 1u);
-    EXPECT_EQ(res.entries[0].kind, StoreDiffEntry::Kind::Episodes);
-    std::remove(a.c_str());
-    std::remove(b.c_str());
-}
-
 TEST(EpisodeLedger, MetricsRoundTripThroughRecord)
 {
     EpisodeRecord want = makeEpisode(3, true);
@@ -429,11 +402,11 @@ TEST(StoreDiff, TruncatedStoreSalvagesPrefixAndQuarantines)
     std::remove(junk.c_str());
 }
 
-TEST(StoreDiff, LeaseRecordsSurfaceButNeverCompare)
+TEST(StoreDiff, LeaseRecordsFromOlderBuildsNeverCompare)
 {
-    // Lease records are elastic-campaign scheduling state: loadStoreCells
-    // surfaces owner/gen/done for attribution, and two stores differing
-    // only in leases (one mid-campaign, one finished) still diff clean.
+    // Builds that ran filesystem lease workers left `lease|` records in
+    // their stores. Such a store still loads, the lease record becomes no
+    // cell, and it diffs clean against the same ledger without one.
     const std::string a = "/tmp/create_test_lease_a.json";
     const std::string b = "/tmp/create_test_lease_b.json";
     writeStore(a, {"v2|leased"}, 4);
@@ -455,9 +428,7 @@ TEST(StoreDiff, LeaseRecordsSurfaceButNeverCompare)
     std::string error;
     ASSERT_TRUE(loadStoreCells(a, cells, error));
     ASSERT_EQ(cells.size(), 1u);
-    EXPECT_EQ(cells[0].leaseOwner, "hostA:111.1");
-    EXPECT_EQ(cells[0].leaseGen, 3);
-    EXPECT_TRUE(cells[0].leaseDone);
+    EXPECT_EQ(cells[0].fingerprint, "v2|leased");
     EXPECT_TRUE(cells[0].episodeOwners.empty()); // no `by` stamps
 
     const StoreDiffResult res = diffStores(a, b);

@@ -295,22 +295,3 @@ TEST(StoreStatsCompare, UnmatchedLedgersFailTheGate)
     std::remove(a.c_str());
     std::remove(b.c_str());
 }
-
-TEST(StoreStats, LegacyCellsAreCountedNotAnalyzed)
-{
-    const std::string path = "/tmp/create_test_stats_legacy.json";
-    JsonRecord rec;
-    rec.name = "v1|jarvis-1|task=0|reps=4|seed0=1000|tech=---";
-    rec.numbers.emplace_back("episodes", 4);
-    rec.numbers.emplace_back("successes", 3);
-    for (const auto& [key, member] : kTaskStatFields) {
-        (void)member;
-        rec.numbers.emplace_back(key, 1.0);
-    }
-    ASSERT_TRUE(writeJsonRecords(path, {rec}));
-    const StoreStatsResult stats = statsOf(path);
-    EXPECT_TRUE(stats.ledgers.empty());
-    EXPECT_TRUE(stats.groups.empty());
-    EXPECT_EQ(stats.legacyCells, 1);
-    std::remove(path.c_str());
-}

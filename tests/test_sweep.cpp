@@ -1,14 +1,15 @@
-/** @file Tests for the SweepRunner campaign engine: sharded-vs-serial
+/** @file Tests for the SweepRunner campaign engine: threaded-vs-serial
  *  bit-identity across cells, cross-cell memoization, episode-ledger
- *  round trips through the JSON result store (prefix slicing, mid-cell
- *  kill/resume, legacy v1 migration, --shard partitioning), fingerprint
- *  canonicalization, and the episode-loop regressions PR 4 fixed
- *  (vsInterval <= 0, executed-step billing). */
+ *  round trips through the JSON and binlog result stores (prefix
+ *  slicing, mid-cell kill/resume, future-schema refusal), fingerprint
+ *  canonicalization, the sweep drivers' refusal of the removed
+ *  multi-process flags, and two episode-loop regressions (vsInterval
+ *  <= 0, executed-step billing). Socket-worker campaigns are covered by
+ *  test_coordinator.cpp. */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
@@ -18,10 +19,10 @@
 #include "core/create_system.hpp"
 #include "core/manip_system.hpp"
 #include "core/store_diff.hpp"
-#include "core/store_stats.hpp"
 #include "core/sweep.hpp"
 #include "env/manipworld.hpp"
 #include "test_util.hpp"
+#include "../bench/bench_util.hpp"
 
 using namespace create;
 using testutil::expectIdentical;
@@ -260,9 +261,6 @@ TEST(Sweep, FingerprintCanonicalization)
     SweepCell f = a;
     f.reps = 7;
     EXPECT_EQ(sweepFingerprint(a), sweepFingerprint(f));
-    // ... but the legacy (v1) cell fingerprint still includes it, so the
-    // migration read path matches PR 4-era records exactly.
-    EXPECT_NE(sweepFingerprintLegacyV1(a), sweepFingerprintLegacyV1(f));
     SweepCell g = a;
     g.seed0 = 4242;
     EXPECT_NE(sweepFingerprint(a), sweepFingerprint(g));
@@ -281,6 +279,26 @@ TEST(Sweep, RejectsUnknownPlatformAndBadReps)
                  std::invalid_argument);
     EXPECT_THROW(sweep.add({"jarvis-1", 0, CreateConfig::clean(), 0}),
                  std::invalid_argument);
+}
+
+TEST(Sweep, DriversRefuseRemovedMultiProcessFlags)
+{
+    // Cli keeps unknown flags, so without an explicit refusal a leftover
+    // `--shard 0/2` or `--lease 30` in a launch script would make every
+    // process of the would-be fleet run the whole campaign.
+    // Re-exec the binary for the child: earlier tests' thread pools must
+    // not be forked.
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    for (std::string flag : {"--shard", "--lease"}) {
+        SCOPED_TRACE(flag);
+        char prog[] = "bench_fig13_techniques";
+        char value[] = "0/2";
+        char* argv[] = {prog, flag.data(), value, nullptr};
+        const Cli cli(3, argv);
+        EXPECT_EXIT(bench::setupSweep(cli, "flag test", 1),
+                    ::testing::ExitedWithCode(2),
+                    "create-coordinator and --connect");
+    }
 }
 
 TEST(Sweep, SlicedCellsShareOneExecution)
@@ -422,116 +440,6 @@ TEST(Sweep, MidCellKillResumeExecutesOnlyMissingEpisodes)
     std::remove(path.c_str());
 }
 
-TEST(Sweep, LegacyV1StoreMigration)
-{
-    // A PR 4-era cell-level store (aggregate stats keyed by the v1
-    // fingerprint, no episodes) still resumes whole cells read-only, and
-    // a flush carries its records forward instead of dropping them.
-    const std::string path = "/tmp/create_test_sweep_v1.json";
-    std::remove(path.c_str());
-    const SweepCell cell = campaignCells(3)[0];
-
-    MineSystem mine(false);
-    const TaskStats direct = mine.evaluate(cell.taskId, cell.cfg, cell.reps);
-    JsonRecord v1;
-    v1.name = sweepFingerprintLegacyV1(cell);
-    v1.strings.emplace_back("platform", cell.platform);
-    v1.numbers.emplace_back("task", cell.taskId);
-    v1.numbers.emplace_back("reps", cell.reps);
-    v1.numbers.emplace_back("episodes", direct.episodes);
-    v1.numbers.emplace_back("successes", direct.successes);
-    for (const auto& [key, member] : kTaskStatFields)
-        v1.numbers.emplace_back(key, direct.*member);
-    ASSERT_TRUE(writeJsonRecords(path, {v1}));
-
-    SweepRunner::Options resume;
-    resume.storePath = path;
-    resume.resume = true;
-    SweepRunner sweep(resume);
-    const std::size_t h = sweep.add(cell);
-    // A second cell at different reps cannot use the v1 aggregate (its
-    // reps is part of the v1 identity); it executes its own ledger.
-    SweepCell other = cell;
-    other.reps = 2;
-    const std::size_t h2 = sweep.add(other);
-    sweep.run();
-
-    EXPECT_EQ(sweep.source(h), CellSource::Resumed);
-    EXPECT_EQ(sweep.resumedCells(), 1);
-    expectIdentical(direct, sweep.stats(h));
-    EXPECT_EQ(sweep.source(h2), CellSource::Executed);
-    EXPECT_EQ(sweep.episodesExecuted(), 2);
-    expectIdentical(mine.evaluate(cell.taskId, cell.cfg, 2),
-                    sweep.stats(h2));
-
-    // A legacy cell's episodes re-derive deterministically on demand.
-    const auto& eps = sweep.episodes(h);
-    ASSERT_EQ(eps.size(), 3u);
-    expectIdentical(aggregate(mine.runEpisodes(cell.taskId, cell.cfg, 3,
-                                               cell.seed0),
-                              mine.energyModel()),
-                    sweep.stats(h));
-
-    // The flush rewrote the store: v1 record preserved, v2 schema added.
-    std::vector<JsonRecord> records;
-    ASSERT_TRUE(readJsonRecords(path, records));
-    bool hasV1 = false, hasSchema = false;
-    for (const auto& rec : records) {
-        hasV1 = hasV1 || rec.name == v1.name;
-        hasSchema = hasSchema || rec.name == kSweepStoreSchemaRecord;
-    }
-    EXPECT_TRUE(hasV1);
-    EXPECT_TRUE(hasSchema);
-    std::remove(path.c_str());
-}
-
-TEST(Sweep, ShardsPartitionPendingLedgersExactlyOnce)
-{
-    // Two shard processes sharing one store must cover the campaign
-    // exactly once between them, and their merged store must satisfy a
-    // full --resume run with zero execution.
-    const std::string path = "/tmp/create_test_sweep_shard.json";
-    std::remove(path.c_str());
-    const auto cells = campaignCells(2);
-
-    long long totalExecuted = 0;
-    for (int shard = 0; shard < 2; ++shard) {
-        SweepRunner::Options o;
-        o.storePath = path;
-        o.shardIndex = shard;
-        o.shardCount = 2;
-        SweepRunner runner(o);
-        for (const auto& c : cells)
-            runner.add(c);
-        runner.run();
-        EXPECT_EQ(runner.executedCells() + runner.skippedCells(), 3)
-            << "shard " << shard;
-        EXPECT_GT(runner.executedCells(), 0) << "shard " << shard;
-        totalExecuted += runner.episodesExecuted();
-    }
-    EXPECT_EQ(totalExecuted, 3 * 2); // every episode exactly once
-
-    SweepRunner::Options resume;
-    resume.storePath = path;
-    resume.resume = true;
-    SweepRunner merged(resume);
-    SweepRunner fresh;
-    for (const auto& c : cells) {
-        merged.add(c);
-        fresh.add(c);
-    }
-    merged.run();
-    fresh.run();
-    EXPECT_EQ(merged.executedCells(), 0);
-    EXPECT_EQ(merged.episodesExecuted(), 0);
-    EXPECT_EQ(merged.resumedCells(), 3);
-    for (std::size_t h = 0; h < cells.size(); ++h) {
-        SCOPED_TRACE(h);
-        expectIdentical(fresh.stats(h), merged.stats(h));
-    }
-    std::remove(path.c_str());
-}
-
 TEST(Sweep, NewerSchemaStoreIsLeftUntouched)
 {
     // A store written by a future schema must not be resumed from OR
@@ -558,14 +466,6 @@ TEST(Sweep, NewerSchemaStoreIsLeftUntouched)
     EXPECT_EQ(records[0].name, kSweepStoreSchemaRecord);
     EXPECT_EQ(records[0].number("schema"), kSweepStoreSchema + 1);
     std::remove(path.c_str());
-}
-
-TEST(Sweep, RejectsBadShardOptions)
-{
-    SweepRunner::Options o;
-    o.shardIndex = 2;
-    o.shardCount = 2;
-    EXPECT_THROW(SweepRunner{o}, std::invalid_argument);
 }
 
 // --- observability: schema v3 metrics through the campaign pipeline -----
@@ -780,35 +680,11 @@ TEST(EpisodeLoop, FailedEpisodesBillExecutedSteps)
            "billed the cap, which is what the old accounting always did";
 }
 
-// --- elastic lease mode: steal, expiry, exactly-once ---------------------
-
-namespace {
-
-double
-wallNowSeconds()
-{
-    return std::chrono::duration<double>(
-               std::chrono::system_clock::now().time_since_epoch())
-        .count();
-}
-
-JsonRecord
-makeLease(const std::string& fp, const std::string& owner, double gen,
-          double renewedAt, bool done)
-{
-    JsonRecord lr;
-    lr.name = sweepLeaseKey(fp);
-    lr.strings.emplace_back("owner", owner);
-    lr.numbers.emplace_back("gen", gen);
-    lr.numbers.emplace_back("renewedAt", renewedAt);
-    lr.numbers.emplace_back("done", done ? 1.0 : 0.0);
-    return lr;
-}
-
-} // namespace
-
 TEST(Lease, KeyRoundTrip)
 {
+    // Nothing writes lease records any more, but stores written by the
+    // builds that ran lease workers still carry them: the key grammar
+    // (and the binlog Lease frame built on it) must keep parsing.
     const std::string key = sweepLeaseKey("v2|abc|def");
     std::string fp;
     ASSERT_TRUE(sweepLeaseFingerprint(key, &fp));
@@ -818,189 +694,13 @@ TEST(Lease, KeyRoundTrip)
     EXPECT_FALSE(sweepLeaseFingerprint(sweepEpisodeKey("v2|x", 3), nullptr));
 }
 
-TEST(Lease, StealsExpiredLeaseAndGapFillsExactlyOnce)
-{
-    // The dead-shard shape: a worker claimed a ledger, flushed episodes
-    // {0, 1} of 6, and was kill -9'd -- its lease stops renewing. An
-    // elastic survivor must observe the expiry, steal the lease with a
-    // generation bump, execute ONLY the 4 missing episodes, and fold
-    // stats bit-identical to an uninterrupted run.
-    const std::string path = "/tmp/create_test_lease_steal.json";
-    std::remove(path.c_str());
-    SweepCell cell = campaignCells(6)[0];
-    const std::string fp = sweepFingerprint(cell);
-
-    {
-        SweepRunner::Options o;
-        o.storePath = path;
-        SweepRunner full(o);
-        full.add(cell);
-        full.run();
-    }
-    std::vector<JsonRecord> records;
-    ASSERT_TRUE(readJsonRecords(path, records));
-    records.erase(std::remove_if(records.begin(), records.end(),
-                                 [&](const JsonRecord& r) {
-                                     const int idx = sweepEpisodeIndex(r.name);
-                                     return idx >= 2;
-                                 }),
-                  records.end());
-    // The dead worker's lease: generation 3, last renewed an hour ago.
-    records.push_back(
-        makeLease(fp, "deadhost:4242.1", 3, wallNowSeconds() - 3600, false));
-    ASSERT_TRUE(writeJsonRecords(path, records));
-
-    SweepRunner::Options elastic;
-    elastic.storePath = path;
-    elastic.leaseSeconds = 5.0;
-    SweepRunner survivor(elastic);
-    const std::size_t h = survivor.add(cell);
-    survivor.run();
-
-    EXPECT_EQ(survivor.episodesExecuted(), 4); // gap-fill: 2..5 only
-    EXPECT_EQ(survivor.leasesStolen(), 1);
-    EXPECT_EQ(survivor.leasesExpired(), 1);
-
-    SweepRunner fresh;
-    const std::size_t hf = fresh.add(cell);
-    fresh.run();
-    expectIdentical(fresh.stats(hf), survivor.stats(h));
-
-    // The steal must stick in the store: our owner, bumped generation,
-    // published done so peers stop honoring the lease.
-    ASSERT_TRUE(readJsonRecords(path, records));
-    const auto lit =
-        std::find_if(records.begin(), records.end(),
-                     [&](const JsonRecord& r) {
-                         return r.name == sweepLeaseKey(fp);
-                     });
-    ASSERT_NE(lit, records.end());
-    EXPECT_EQ(lit->text("owner"), survivor.workerId());
-    EXPECT_EQ(lit->number("gen"), 4.0);
-    EXPECT_EQ(lit->number("done"), 1.0);
-    std::remove(path.c_str());
-    std::remove((path + ".lock").c_str());
-}
-
-TEST(Lease, LiveForeignLeaseIsStolenOnlyAfterExpiry)
-{
-    // A lease renewed moments ago belongs to a live peer: the claim scan
-    // must wait out the lease period before stealing, bounding the
-    // duplicated work a slow-but-alive straggler can suffer.
-    const std::string path = "/tmp/create_test_lease_live.json";
-    std::remove(path.c_str());
-    SweepCell cell = campaignCells(2)[0];
-    const std::string fp = sweepFingerprint(cell);
-    ASSERT_TRUE(writeJsonRecords(
-        path, std::vector<JsonRecord>{
-                  makeLease(fp, "peer:7.1", 1, wallNowSeconds(), false)}));
-
-    SweepRunner::Options elastic;
-    elastic.storePath = path;
-    elastic.leaseSeconds = 0.4;
-    SweepRunner runner(elastic);
-    runner.add(cell);
-    const double t0 = wallNowSeconds();
-    runner.run();
-    const double elapsed = wallNowSeconds() - t0;
-
-    EXPECT_EQ(runner.leasesStolen(), 1);
-    EXPECT_EQ(runner.episodesExecuted(), 2);
-    EXPECT_GE(elapsed, 0.35) << "stole a live lease before expiry";
-    std::remove(path.c_str());
-    std::remove((path + ".lock").c_str());
-}
-
-TEST(Lease, ElasticWorkersShareExactlyOnceAndAttribute)
-{
-    // Worker A completes the whole campaign; worker B joining late must
-    // finalize every ledger from the store without executing or stealing
-    // anything. The store carries per-episode `by` attribution and done
-    // leases that store-stats rolls into per-shard loads; a serial store
-    // carries neither.
-    const std::string path = "/tmp/create_test_lease_share.json";
-    const std::string serial = "/tmp/create_test_lease_serial.json";
-    std::remove(path.c_str());
-    std::remove(serial.c_str());
-    const auto cells = campaignCells(2);
-
-    SweepRunner::Options elastic;
-    elastic.storePath = path;
-    elastic.leaseSeconds = 30.0;
-    SweepRunner a(elastic);
-    for (const auto& c : cells)
-        a.add(c);
-    a.run();
-    EXPECT_EQ(a.episodesExecuted(), 3 * 2);
-    EXPECT_EQ(a.leasesStolen(), 0);
-
-    SweepRunner b(elastic);
-    std::vector<std::size_t> handles;
-    for (const auto& c : cells)
-        handles.push_back(b.add(c));
-    b.run();
-    EXPECT_EQ(b.episodesExecuted(), 0);
-    EXPECT_EQ(b.leasesStolen(), 0);
-    SweepRunner fresh;
-    for (const auto& c : cells)
-        fresh.add(c);
-    fresh.run();
-    for (std::size_t h = 0; h < cells.size(); ++h) {
-        SCOPED_TRACE(h);
-        expectIdentical(fresh.stats(h), b.stats(handles[h]));
-    }
-
-    // The elastic store diffs clean against a serial store (leases and
-    // `by` stamps are scheduling state, not results) and attributes
-    // every episode to worker A.
-    {
-        SweepRunner::Options o;
-        o.storePath = serial;
-        SweepRunner s(o);
-        for (const auto& c : cells)
-            s.add(c);
-        s.run();
-    }
-    std::vector<StoreCell> elasticCells, serialCells;
-    std::string error;
-    ASSERT_TRUE(loadStoreCells(path, elasticCells, error));
-    ASSERT_TRUE(loadStoreCells(serial, serialCells, error));
-    const StoreDiffResult res =
-        diffStoreCells(elasticCells, serialCells, StoreDiffOptions{});
-    EXPECT_TRUE(res.clean());
-    for (const StoreCell& cell : elasticCells) {
-        SCOPED_TRACE(cell.fingerprint);
-        ASSERT_EQ(cell.episodeOwners.size(), 1u);
-        EXPECT_EQ(cell.episodeOwners[0].first, a.workerId());
-        EXPECT_EQ(cell.episodeOwners[0].second, cell.episodes);
-        EXPECT_EQ(cell.leaseOwner, a.workerId());
-        EXPECT_TRUE(cell.leaseDone);
-    }
-    for (const StoreCell& cell : serialCells) {
-        EXPECT_TRUE(cell.episodeOwners.empty());
-        EXPECT_TRUE(cell.leaseOwner.empty());
-    }
-    const StoreStatsResult stats = computeStoreStats(elasticCells);
-    ASSERT_EQ(stats.shards.size(), 1u);
-    EXPECT_EQ(stats.shards[0].owner, a.workerId());
-    EXPECT_EQ(stats.shards[0].episodes, 3 * 2);
-    EXPECT_EQ(stats.shards[0].ledgers, 3);
-    EXPECT_EQ(stats.shards[0].leasesHeld, 3);
-    EXPECT_TRUE(computeStoreStats(serialCells).shards.empty());
-
-    std::remove(path.c_str());
-    std::remove(serial.c_str());
-    std::remove((path + ".lock").c_str());
-    std::remove((serial + ".lock").c_str());
-}
-
 namespace {
 
-/** Remove a store of either format (json file or binlog dir) + sidecar. */
+/** Remove a store of either format (json file or binlog dir). */
 void
 removeStoreAnyFormat(const std::string& path)
 {
-    const std::string rm = "rm -rf '" + path + "' '" + path + ".lock'";
+    const std::string rm = "rm -rf '" + path + "'";
     ASSERT_EQ(std::system(rm.c_str()), 0);
 }
 
@@ -1100,85 +800,4 @@ TEST(Sweep, ConvertedBinlogStoreResumesWithoutExecuting)
         expectIdentical(want[i], resumed.stats(hs[i]));
     removeStoreAnyFormat(jsonPath);
     removeStoreAnyFormat(blogPath);
-}
-
-TEST(Lease, BinlogStealsExpiredLeaseAndGapFillsExactlyOnce)
-{
-    // The dead-shard steal/gap-fill protocol, verbatim over the binlog
-    // backend: episodes {0, 1} of 6 and a stale foreign lease live in a
-    // peer's append log; the survivor must steal (generation bump),
-    // execute ONLY the 4 missing episodes, and fold stats bit-identical
-    // to an uninterrupted run -- while appending to its OWN log.
-    const std::string path = "/tmp/create_test_binlog_lease_steal.blog";
-    removeStoreAnyFormat(path);
-    SweepCell cell = campaignCells(6)[0];
-    const std::string fp = sweepFingerprint(cell);
-    {
-        // Seed the store as the dead worker would have left it.
-        const std::string jsonFull = path + ".seed.json";
-        removeStoreAnyFormat(jsonFull);
-        SweepRunner::Options o;
-        o.storePath = jsonFull;
-        SweepRunner full(o);
-        full.add(cell);
-        full.run();
-        std::vector<JsonRecord> records;
-        ASSERT_TRUE(readJsonRecords(jsonFull, records));
-        records.erase(
-            std::remove_if(records.begin(), records.end(),
-                           [&](const JsonRecord& r) {
-                               return sweepEpisodeIndex(r.name) >= 2;
-                           }),
-            records.end());
-        records.push_back(makeLease(fp, "deadhost:4242.1", 3,
-                                    wallNowSeconds() - 3600, false));
-        const auto dead =
-            openStoreBackend(path, StoreFormat::Binlog, "deadhost-4242-1");
-        std::map<std::string, JsonRecord> view;
-        for (const JsonRecord& r : records)
-            view[r.name] = r;
-        std::string error;
-        ASSERT_TRUE(dead->flush(view, records, &error)) << error;
-        removeStoreAnyFormat(jsonFull);
-    }
-
-    SweepRunner::Options elastic;
-    elastic.storePath = path;
-    elastic.leaseSeconds = 5.0;
-    SweepRunner survivor(elastic);
-    const std::size_t h = survivor.add(cell);
-    survivor.run();
-
-    EXPECT_EQ(survivor.episodesExecuted(), 4); // gap-fill: 2..5 only
-    EXPECT_EQ(survivor.leasesStolen(), 1);
-    EXPECT_EQ(survivor.leasesExpired(), 1);
-
-    SweepRunner fresh;
-    const std::size_t hf = fresh.add(cell);
-    fresh.run();
-    expectIdentical(fresh.stats(hf), survivor.stats(h));
-
-    // The steal must stick in the merged store view (higher generation,
-    // our owner, done), and the survivor's episodes must live in its own
-    // per-writer log -- the dead worker's log still has only the prefix.
-    const auto be = openStoreBackend(path, StoreFormat::Json, "reader");
-    ASSERT_EQ(be->format(), StoreFormat::Binlog);
-    std::vector<JsonRecord> records;
-    StoreLoadInfo info;
-    ASSERT_TRUE(be->load(records, &info, false));
-    EXPECT_EQ(info.files, 2u); // the dead worker's log + the survivor's
-    const auto lit = std::find_if(records.begin(), records.end(),
-                                  [&](const JsonRecord& r) {
-                                      return r.name == sweepLeaseKey(fp);
-                                  });
-    ASSERT_NE(lit, records.end());
-    EXPECT_EQ(lit->text("owner"), survivor.workerId());
-    EXPECT_EQ(lit->number("gen"), 4.0);
-    EXPECT_EQ(lit->number("done"), 1.0);
-    std::size_t episodes = 0;
-    for (const JsonRecord& r : records)
-        if (sweepEpisodeIndex(r.name) >= 0)
-            ++episodes;
-    EXPECT_EQ(episodes, 6u);
-    removeStoreAnyFormat(path);
 }

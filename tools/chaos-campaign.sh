@@ -1,48 +1,49 @@
 #!/bin/sh
-# Chaos campaign gate: prove the elastic lease fabric survives worker
-# death and torn writes with a final store bit-exact vs a serial run.
+# Chaos campaign gate: prove campaigns survive torn writes, worker
+# death, connection resets and a coordinator crash with a final store
+# bit-exact vs a serial run.
 #
 # Usage: tools/chaos-campaign.sh [build-dir]   (default: build)
 #
-# Six legs, each ending in a bit-exact sweep-diff against the same
-# serial golden store:
+# Five legs, each ending in a bit-exact sweep-diff against the same
+# serial golden store. Legs 1-2 run a single-process campaign and
+# relaunch it with --resume:
 #
-#   1. kill -9    two elastic workers (--lease) share one store; one is
-#                 kill -9'd mid-campaign. The survivor must observe the
-#                 dead worker's lease expire, steal its ledgers, gap-fill
-#                 only the missing episode indices, and complete the
-#                 campaign with zero manual intervention.
-#   2. torn write CREATE_CHAOS tear= truncates the store to a random
-#                 fraction after flushes; every subsequent locked read
-#                 must salvage the parseable prefix and the next flush
-#                 heals the file. A chaos-off --resume pass afterwards
-#                 repairs anything the final tear destroyed (and must
-#                 re-execute nothing when the store self-healed).
-#   3. abort      CREATE_CHAOS abort= makes workers _exit(137) before
-#                 random flushes (the OOM-kill shape). The driver simply
-#                 relaunches until a worker survives to completion --
-#                 every relaunch resumes from the surviving episodes.
+#   1. torn write CREATE_CHAOS tear= truncates the store to a random
+#                 fraction after flushes; the next flush heals the file.
+#                 A chaos-off --resume pass afterwards salvages the
+#                 parseable prefix and re-runs whatever the final tear
+#                 destroyed (json rewrites heal every earlier tear, so
+#                 there it must re-execute nothing; a binlog tear cuts
+#                 frames already appended, so it re-runs those).
+#   2. abort      CREATE_CHAOS abort= makes the campaign _exit(137)
+#                 before random flushes (the OOM-kill shape). The script
+#                 relaunches with --resume until a run survives to
+#                 completion -- every relaunch executes only the
+#                 episodes missing from the store.
 #
-# Legs 4-6 run the same campaign through the socket coordinator
-# (create-coordinator + fig13 --connect workers, no shared filesystem):
+# Legs 3-5 run the same campaign through the socket coordinator
+# (create-coordinator + fig13 --connect workers, no shared filesystem),
+# the one way a campaign spans processes:
 #
-#   4. kill -9    one of two socket workers dies mid-campaign; its
-#                 outstanding range times out (--lease) and the
-#                 coordinator re-dispatches the missing episode indices
-#                 to the survivor.
-#   5. connreset  CREATE_CHAOS connreset= severs coordinator-wire sends
+#   3. kill -9    one of two socket workers dies mid-campaign; its
+#                 outstanding range is re-pooled (the dropped connection,
+#                 or --range-timeout) and the coordinator re-dispatches
+#                 the missing episode indices to the survivor.
+#   4. connreset  CREATE_CHAOS connreset= severs coordinator-wire sends
 #                 mid-frame on the workers; every reset must heal by
 #                 reconnect + re-send (duplicates merge idempotently).
-#   6. coord kill the coordinator itself is kill -9'd mid-campaign and
+#   5. coord kill the coordinator itself is kill -9'd mid-campaign and
 #                 restarted on the same port + store: it salvages the
-#                 binlog, re-learns progress from the have-bitmap, and
+#                 store, re-learns progress from the have-bitmap, and
 #                 the workers' connect-retry budget rides through.
 #
 # Episodes are deterministic (seeded per index, exact integer kernels),
-# so however chaotically the work is re-run, re-stolen, or re-merged,
-# the final store must be bit-identical to the serial one. Tunables:
+# so however chaotically the work is re-run, re-dispatched, or
+# re-merged, the final store must be bit-identical to the serial one.
+# Tunables:
 #   CHAOS_REPS (default 2)       reps per cell (campaign size)
-#   CHAOS_LEASE (default 2)      lease period in seconds
+#   CHAOS_RANGE_TIMEOUT (default 2) coordinator range timeout, seconds
 #   CHAOS_KILL_AFTER (default 1) seconds before the kill -9
 #   STORE_FORMAT (default json)  campaign store backend (json|binlog).
 #                                The serial golden stays json either way:
@@ -56,7 +57,7 @@ diff=$build/tools/sweep-diff
 stats=$build/tools/sweep-stats
 coord=$build/tools/create-coordinator
 reps=${CHAOS_REPS:-2}
-lease=${CHAOS_LEASE:-2}
+range_timeout=${CHAOS_RANGE_TIMEOUT:-2}
 kill_after=${CHAOS_KILL_AFTER:-1}
 fmt=${STORE_FORMAT:-json}
 echo "== store format: $fmt (serial golden: json)"
@@ -67,32 +68,9 @@ trap 'rm -rf "$work"' EXIT INT TERM
 echo "== serial golden ($fig13 --reps $reps)"
 "$fig13" --reps "$reps" --out "$work/serial.json" > /dev/null 2>&1
 
-echo "== leg 1: kill -9 one of two elastic workers mid-campaign"
-"$fig13" --reps "$reps" --out "$work/kill.store" --store-format "$fmt" --lease "$lease" \
-    --flush-every 1 --progress > /dev/null 2> "$work/victim.log" &
-victim=$!
-"$fig13" --reps "$reps" --out "$work/kill.store" --store-format "$fmt" --lease "$lease" \
-    --flush-every 1 --progress > /dev/null 2> "$work/survivor.log" &
-survivor=$!
-sleep "$kill_after"
-if kill -9 "$victim" 2> /dev/null; then
-    echo "   killed worker pid $victim after ${kill_after}s"
-else
-    echo "   worker $victim already finished (campaign too fast to kill)"
-fi
-wait "$victim" 2> /dev/null || true
-if ! wait "$survivor"; then
-    echo "FAIL: surviving worker exited nonzero"
-    sed -n '$p' "$work/survivor.log"
-    exit 1
-fi
-grep -E "stealing lease|stolen=" "$work/survivor.log" | tail -2 || true
-"$diff" "$work/serial.json" "$work/kill.store"
-"$stats" "$work/kill.store" | sed -n '/Per-shard/,/^$/p'
-
-echo "== leg 2: torn-write chaos (CREATE_CHAOS tear=0.2) + heal"
+echo "== leg 1: torn-write chaos (CREATE_CHAOS tear=0.2) + heal"
 CREATE_CHAOS="tear=0.2" CREATE_CHAOS_SEED=20260808 \
-    "$fig13" --reps "$reps" --out "$work/tear.store" --store-format "$fmt" --lease "$lease" \
+    "$fig13" --reps "$reps" --out "$work/tear.store" --store-format "$fmt" \
     --flush-every 1 > /dev/null 2> "$work/tear.log"
 tears=$(grep -c "\[chaos\] tore" "$work/tear.log" || true)
 echo "   injected $tears torn writes"
@@ -100,21 +78,21 @@ if [ "${tears:-0}" -eq 0 ]; then
     echo "FAIL: tear chaos never fired; the leg is vacuous"
     exit 1
 fi
-# Heal pass: chaos off. If the final flush was torn this re-executes the
-# lost episodes from the salvaged prefix; otherwise it must be a no-op.
+# Heal pass: chaos off. Re-executes whatever the tears destroyed from the
+# salvaged prefix (nothing, when the store self-healed).
 "$fig13" --reps "$reps" --out "$work/tear.store" --resume \
     > "$work/heal.log" 2>&1
 grep "\[sweep\] cells=" "$work/heal.log" || true
 "$diff" "$work/serial.json" "$work/tear.store"
 
-echo "== leg 3: abort-before-flush chaos (CREATE_CHAOS abort=0.03)"
+echo "== leg 2: abort-before-flush chaos (CREATE_CHAOS abort=0.03)"
 tries=0
 until CREATE_CHAOS="abort=0.03" CREATE_CHAOS_SEED=$((1000 + tries)) \
-    "$fig13" --reps "$reps" --out "$work/abort.store" --store-format "$fmt" --lease "$lease" \
-    --flush-every 1 > /dev/null 2> "$work/abort.log"; do
+    "$fig13" --reps "$reps" --out "$work/abort.store" --store-format "$fmt" \
+    --resume --flush-every 1 > /dev/null 2> "$work/abort.log"; do
     tries=$((tries + 1))
     if [ "$tries" -gt 25 ]; then
-        echo "FAIL: no worker survived after $tries relaunches"
+        echo "FAIL: no run survived after $tries relaunches"
         exit 1
     fi
 done
@@ -128,8 +106,8 @@ start_coordinator() {
     cstore=$1
     shift
     : > "$work/coord.out"
-    "$coord" --store "$cstore" --store-format "$fmt" --lease "$lease" \
-        --once "$@" > "$work/coord.out" 2>> "$work/coord.log" &
+    "$coord" --store "$cstore" --store-format "$fmt" \
+        --range-timeout "$range_timeout" --once "$@" > "$work/coord.out" 2>> "$work/coord.log" &
     coord_pid=$!
     port=""
     tries=0
@@ -146,7 +124,7 @@ start_coordinator() {
     done
 }
 
-echo "== leg 4: kill -9 one of two socket workers (coordinator campaign)"
+echo "== leg 3: kill -9 one of two socket workers (coordinator campaign)"
 start_coordinator "$work/sock.store"
 "$fig13" --reps "$reps" --connect "127.0.0.1:$port" \
     > /dev/null 2> "$work/sock-victim.log" &
@@ -175,7 +153,7 @@ grep "episodes ingested" "$work/coord.log" | tail -1 || true
 "$diff" "$work/serial.json" "$work/sock.store"
 "$stats" "$work/sock.store" | sed -n '/Per-worker/,/^$/p'
 
-echo "== leg 5: connreset storm on socket workers (CREATE_CHAOS connreset=0.05)"
+echo "== leg 4: connreset storm on socket workers (CREATE_CHAOS connreset=0.05)"
 start_coordinator "$work/reset.store"
 CREATE_CHAOS="connreset=0.05" CREATE_CHAOS_SEED=20260808 \
     "$fig13" --reps "$reps" --connect "127.0.0.1:$port" \
@@ -204,7 +182,7 @@ if [ "${resets:-0}" -eq 0 ]; then
 fi
 "$diff" "$work/serial.json" "$work/reset.store"
 
-echo "== leg 6: kill -9 the coordinator mid-campaign, restart on same store"
+echo "== leg 5: kill -9 the coordinator mid-campaign, restart on same store"
 start_coordinator "$work/ckill.store"
 "$fig13" --reps "$reps" --connect "127.0.0.1:$port" \
     > /dev/null 2> "$work/ckill-w1.log" &
@@ -217,7 +195,7 @@ if kill -9 "$coord_pid" 2> /dev/null; then
     echo "   killed coordinator pid $coord_pid after ${kill_after}s"
     wait "$coord_pid" 2> /dev/null || true
     # Restart on the SAME port (SO_REUSEADDR) and the same store: it
-    # salvages the binlog tail and resumes from the surviving episodes;
+    # salvages the store's tail and resumes from the surviving episodes;
     # the workers' connect-retry backoff (~30 s) rides through the gap.
     start_coordinator "$work/ckill.store" --port "$port"
 else

@@ -3,15 +3,15 @@
  * create-coordinator: the socket campaign coordinator process.
  *
  *   create-coordinator --store PATH [--store-format json|binlog]
- *                      [--port N] [--range N] [--lease S]
+ *                      [--port N] [--range N] [--range-timeout S]
  *                      [--once] [--verbose]
  *
  * Owns one campaign store, serves pending episode ranges to socket
- * workers (`create_sweep --connect host:port`, or any SweepRunner with
- * Options::connect set), and ingests their completed episode records --
- * no shared filesystem required. See core/coordinator.hpp for the wire
- * protocol and the mixed-fleet (filesystem `--lease` workers sharing
- * the store) semantics.
+ * workers (any sweep driver run with `--connect host:port`, or any
+ * SweepRunner with Options::connect set), and ingests their completed
+ * episode records -- no shared filesystem required. This is the one way
+ * to spread a campaign over processes or machines; see
+ * core/coordinator.hpp for the wire protocol.
  *
  * Prints `listening on port N` on stdout once the socket is bound --
  * scripts that spawn the coordinator with --port 0 wait for this line
@@ -63,11 +63,13 @@ usage(std::FILE* to)
         "                        printed as 'listening on port N')\n"
         "  --range N             episodes per dispatched range\n"
         "                        (default 16; shrinks near the tail)\n"
-        "  --lease S             assignment/lease timeout seconds\n"
+        "  --range-timeout S     range assignment timeout seconds\n"
         "                        (default 30): a worker silent this\n"
         "                        long forfeits its range\n"
         "  --once                exit once every declared ledger is\n"
         "                        complete and the fleet disconnected\n"
+        "                        (2 s later if a worker dropped\n"
+        "                        without saying goodbye)\n"
         "  --verbose             per-range dispatch log on stderr\n");
 }
 
@@ -121,13 +123,14 @@ runTool(int argc, char** argv)
                 std::fprintf(stderr, "create-coordinator: bad --range\n");
                 return 2;
             }
-        } else if (arg == "--lease") {
+        } else if (arg == "--range-timeout") {
             char* end = nullptr;
-            const char* v = value("--lease");
-            opt.leaseSeconds = std::strtod(v, &end);
+            const char* v = value("--range-timeout");
+            opt.rangeTimeoutSeconds = std::strtod(v, &end);
             if (end == v || (end && *end != '\0') ||
-                opt.leaseSeconds <= 0.0) {
-                std::fprintf(stderr, "create-coordinator: bad --lease\n");
+                opt.rangeTimeoutSeconds <= 0.0) {
+                std::fprintf(stderr,
+                             "create-coordinator: bad --range-timeout\n");
                 return 2;
             }
         } else if (arg == "--once") {

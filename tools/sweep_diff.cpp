@@ -8,7 +8,7 @@
  * Reports new/missing cells, episode-count mismatches, and stats that
  * differ beyond the tolerances (both default to 0: bit-exact). Exit code
  * 0 = stores match, 1 = drift, 2 = usage/I/O error. CI uses this to
- * check that an N-shard campaign writes exactly the store a serial run
+ * check that a coordinator fleet writes exactly the store a serial run
  * of the same matrix does.
  */
 
@@ -70,8 +70,7 @@ runDiff(int argc, char** argv)
         std::printf(
             "usage: sweep-diff A.json B.json [--abs-tol X] [--rel-tol Y]\n"
             "\nCompare two SweepRunner result stores cell-by-fingerprint\n"
-            "(v2 episode-ledger stores fold their ledgers; legacy v1\n"
-            "cell-level stores compare their stored aggregates). A stat\n"
+            "(each fingerprint's episode ledger is folded). A stat\n"
             "passes when |a-b| <= abs-tol + rel-tol*max(|a|,|b|); both\n"
             "default to 0, i.e. bit-exact. Exit 0 = match, 1 = drift,\n"
             "2 = error.\n");

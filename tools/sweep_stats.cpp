@@ -142,38 +142,19 @@ printAttribution(const StoreStatsResult& stats, int top)
 void
 printShards(const StoreStatsResult& stats)
 {
-    // Only distributed campaigns (elastic lease or coordinator socket
-    // mode) stamp episodes with a `by` field and write lease/worker
-    // records; a plain serial/sharded store has no shards to attribute
-    // and prints nothing.
+    // Only coordinator campaigns stamp episodes with a `by` field and
+    // write worker| range telemetry; a local campaign's store has no
+    // workers to attribute and prints nothing. The table carries the
+    // dispatch counters, throughput, and the p95/p50 range-wall-time
+    // straggler ratio.
     if (stats.shards.empty())
         return;
-    bool anyRanges = false;
-    for (const ShardLoad& s : stats.shards)
-        anyRanges = anyRanges || s.hasRanges;
-    if (!anyRanges) {
-        Table table(
-            "Per-shard episode attribution (elastic lease campaign)");
-        table.header({"worker", "episodes", "ledgers", "leases held"});
-        for (const ShardLoad& s : stats.shards)
-            table.row({s.owner, std::to_string(s.episodes),
-                       std::to_string(s.ledgers),
-                       std::to_string(s.leasesHeld)});
-        std::printf("\n");
-        table.print();
-        return;
-    }
-    // A coordinator campaign additionally wrote worker| range telemetry:
-    // widen the table with the dispatch counters, throughput, and the
-    // p95/p50 range-wall-time straggler ratio.
     Table table("Per-worker range dispatch (coordinator campaign)");
-    table.header({"worker", "episodes", "ledgers", "leases held", "ranges",
-                  "redisp", "eps/s", "rng p50 ms", "rng p95 ms",
-                  "straggler"});
+    table.header({"worker", "episodes", "ledgers", "ranges", "redisp",
+                  "eps/s", "rng p50 ms", "rng p95 ms", "straggler"});
     for (const ShardLoad& s : stats.shards) {
         std::vector<std::string> row = {s.owner, std::to_string(s.episodes),
-                                        std::to_string(s.ledgers),
-                                        std::to_string(s.leasesHeld)};
+                                        std::to_string(s.ledgers)};
         if (s.hasRanges) {
             row.push_back(std::to_string(s.rangesCompleted) + "/" +
                           std::to_string(s.rangesAssigned));
@@ -185,8 +166,8 @@ printShards(const StoreStatsResult& stats)
                               ? Table::num(s.rangeP95Ms / s.rangeP50Ms, 2)
                               : "-");
         } else {
-            // A filesystem --lease worker of a mixed fleet: episode
-            // attribution only, no coordinator-side range counters.
+            // Episodes without telemetry (a store written by an older
+            // build): attribution only, no range counters.
             for (int i = 0; i < 6; ++i)
                 row.emplace_back("-");
         }
@@ -320,7 +301,7 @@ runStats(int argc, char** argv)
         std::fprintf(stderr, "sweep-stats: %s\n", error.c_str());
         return 2;
     }
-    if (stats.ledgers.empty() && stats.legacyCells == 0) {
+    if (stats.ledgers.empty()) {
         // Same guard as sweep-diff: an empty (or non-store) file must not
         // let a CI gate pass vacuously.
         std::fprintf(stderr,
@@ -332,10 +313,6 @@ runStats(int argc, char** argv)
 
     Table groups = groupTable(stats);
     groups.print();
-    if (stats.legacyCells > 0)
-        std::printf("(%d legacy v1 cell-level record%s: aggregates only, "
-                    "no episode ledger to tail-analyze)\n",
-                    stats.legacyCells, stats.legacyCells == 1 ? "" : "s");
     printAttribution(stats,
                      static_cast<int>(cli.integer("top", 10)));
     printShards(stats);

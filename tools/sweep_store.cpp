@@ -87,7 +87,7 @@ runInspect(const std::string& path)
     std::vector<JsonRecord> records;
     StoreLoadInfo info;
     const std::unique_ptr<StoreBackend> be = loadOrDie(path, records, info);
-    int schema = 1; // schema-less stores are PR 4-era v1 cell stores
+    int schema = 1; // a store without a schema record predates it
     std::size_t episodes = 0, leases = 0, metas = 0, other = 0;
     std::map<std::string, std::size_t> perFp;
     for (const JsonRecord& rec : records) {
@@ -101,8 +101,7 @@ runInspect(const std::string& path)
             ++perFp[fp];
         } else if (sweepLeaseFingerprint(rec.name)) {
             ++leases;
-        } else if (rec.name.rfind("v1|", 0) == 0 ||
-                   rec.name.rfind("v2|", 0) == 0) {
+        } else if (rec.name.rfind("v2|", 0) == 0) {
             ++metas;
         } else {
             ++other;
