@@ -27,7 +27,6 @@
 #include "common/table.hpp"
 #include "core/anomaly.hpp"
 #include "core/create_system.hpp"
-#include "core/parallel_eval.hpp"
 #include "core/sweep.hpp"
 #include "hw/kernel_dispatch.hpp"
 
@@ -42,12 +41,12 @@ berStr(double ber)
     return buf;
 }
 
-/** Worker count for the parallel evaluator (--threads, default: all). */
+/** Episode threads (--threads, default: all hardware threads). */
 inline int
 evalThreads(const Cli& cli)
 {
     const auto n = static_cast<int>(
-        cli.integer("threads", ParallelEvaluator::defaultThreads()));
+        cli.integer("threads", EmbodiedSystem::defaultEvalThreads()));
     return n < 1 ? 1 : n;
 }
 
@@ -155,9 +154,9 @@ setupImpl(const Cli& cli, const char* artifact, int defaultReps,
                     "the paper uses >=100)\n",
                     artifact, defaultReps);
         if (threaded)
-            std::printf("  --threads N  parallel evaluation workers "
+            std::printf("  --threads N  threads running episodes "
                         "(default: all hardware threads, here %d)\n",
-                        ParallelEvaluator::defaultThreads());
+                        EmbodiedSystem::defaultEvalThreads());
         std::printf("  --json PATH  also write machine-readable result "
                     "records to PATH\n");
         if (sweep)

@@ -21,7 +21,6 @@
 
 #include "common/cli.hpp"
 #include "common/table.hpp"
-#include "core/parallel_eval.hpp"
 #include "core/platform_registry.hpp"
 
 using namespace create;
@@ -58,9 +57,9 @@ main(int argc, char** argv)
             "  --voltage V        aggressive planner voltage (default: each "
             "platform's registry default)\n"
             "  --reps N           episodes per configuration (default 10)\n"
-            "  --threads N        parallel evaluation workers (default: all "
+            "  --threads N        threads running episodes (default: all "
             "hardware threads, here %d)\n",
-            ParallelEvaluator::defaultThreads());
+            EmbodiedSystem::defaultEvalThreads());
         return 0;
     }
     if (cli.flag("list-platforms")) {
@@ -76,7 +75,7 @@ main(int argc, char** argv)
     const int reps = static_cast<int>(cli.integer("reps", 10));
     const int threads = std::max(
         1, static_cast<int>(
-               cli.integer("threads", ParallelEvaluator::defaultThreads())));
+               cli.integer("threads", EmbodiedSystem::defaultEvalThreads())));
 
     std::vector<const PlatformInfo*> selected;
     try {

@@ -18,7 +18,6 @@
 #include "common/cli.hpp"
 #include "common/table.hpp"
 #include "core/create_system.hpp"
-#include "core/parallel_eval.hpp"
 
 using namespace create;
 
@@ -30,7 +29,7 @@ main(int argc, char** argv)
     const int reps = static_cast<int>(cli.integer("reps", 10));
     const int threads = std::max(
         1, static_cast<int>(
-               cli.integer("threads", ParallelEvaluator::defaultThreads())));
+               cli.integer("threads", EmbodiedSystem::defaultEvalThreads())));
 
     std::printf("CREATE quickstart: task '%s', %d episodes per config, "
                 "%d evaluation thread%s\n",

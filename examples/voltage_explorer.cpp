@@ -14,7 +14,6 @@
 #include "common/cli.hpp"
 #include "common/table.hpp"
 #include "core/create_system.hpp"
-#include "core/parallel_eval.hpp"
 
 using namespace create;
 
@@ -28,7 +27,7 @@ main(int argc, char** argv)
     const double vmax = cli.real("vmax", 0.90);
     const int threads = std::max(
         1, static_cast<int>(
-               cli.integer("threads", ParallelEvaluator::defaultThreads())));
+               cli.integer("threads", EmbodiedSystem::defaultEvalThreads())));
 
     std::printf("Voltage exploration on '%s' (%d episodes/point, %d "
                 "thread%s)\n",

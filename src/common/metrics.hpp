@@ -20,8 +20,8 @@
  *     cross-thread state is the collection switch.
  *  3. Mergeable. EpisodeMetrics += EpisodeMetrics is a lossless union
  *     (counter sums, per-layer tables merged by tag), so per-episode
- *     records collected by N ParallelEvaluator workers roll up into
- *     campaign totals in any order.
+ *     records collected on N episode threads roll up into campaign
+ *     totals in any order.
  *
  * The per-layer fault attribution quadruple is:
  *   injected  - bits the injector actually flipped in the accumulators,

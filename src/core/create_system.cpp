@@ -5,34 +5,27 @@
 namespace create {
 
 MineSystem::MineSystem(bool verbose)
-    : shared_(std::make_shared<SharedModelSet>())
 {
     MineModels models = ModelZoo::mineModels(verbose);
-    shared_->planner = std::move(models.planner);
-    shared_->controller = std::move(models.controller);
-    shared_->predictor = std::move(models.predictor);
-}
-
-MineSystem::MineSystem(std::shared_ptr<SharedModelSet> shared,
-                       AgentConfig agentCfg)
-    : shared_(std::move(shared)), agentCfg_(agentCfg)
-{
+    shared_.planner = std::move(models.planner);
+    shared_.controller = std::move(models.controller);
+    shared_.predictor = std::move(models.predictor);
 }
 
 PlannerModel&
 MineSystem::planner(bool rotated)
 {
     if (!rotated)
-        return *shared_->planner;
-    if (!shared_->rotatedPlanner) {
+        return *shared_.planner;
+    if (!shared_.rotatedPlanner) {
         // Fresh copy of the trained planner, rotated offline, recalibrated.
         std::shared_ptr<PlannerModel> r =
             ModelZoo::minePlanner(/*verbose=*/false);
         applyWeightRotation(*r);
         ModelZoo::calibrateMinePlanner(*r);
-        shared_->rotatedPlanner = std::move(r);
+        shared_.rotatedPlanner = std::move(r);
     }
-    return *shared_->rotatedPlanner;
+    return *shared_.rotatedPlanner;
 }
 
 void
@@ -40,22 +33,11 @@ MineSystem::prepare(const CreateConfig& cfg)
 {
     // Build lazy members and freeze every layer the config will touch at
     // its deployment width -- serially, so shared model state is read-only
-    // once episodes (possibly on a worker pool) start.
+    // once episodes (possibly on several threads) start.
     warmFreezePlanner(planner(cfg.weightRotation), cfg.bits);
-    warmFreezeController(*shared_->controller, cfg.bits);
+    warmFreezeController(*shared_.controller, cfg.bits);
     if (cfg.voltageScaling)
-        warmFreezePredictor(*shared_->predictor);
-}
-
-std::unique_ptr<EmbodiedSystem>
-MineSystem::replicate() const
-{
-    // Replicas share the frozen model set (weights, quant scales, AD
-    // bounds exist once per process); only per-worker mutable state --
-    // the per-episode contexts with their RNG streams, meters, and
-    // workspaces -- is created fresh. See core/shared_models.hpp.
-    return std::unique_ptr<EmbodiedSystem>(
-        new MineSystem(shared_, agentCfg_));
+        warmFreezePredictor(*shared_.predictor);
 }
 
 EpisodeResult
@@ -68,11 +50,11 @@ MineSystem::runEpisode(int taskId, std::uint64_t seed,
     cfg.applyTo(controllerCtx, /*isPlanner=*/false);
 
     PlannerModel& p = planner(cfg.weightRotation);
-    EmbodiedAgent agent(p, *shared_->controller, agentCfg_);
+    EmbodiedAgent agent(p, *shared_.controller, agentCfg_);
 
     std::unique_ptr<VoltageScaler> scaler;
     if (cfg.voltageScaling) {
-        scaler = std::make_unique<VoltageScaler>(*shared_->predictor,
+        scaler = std::make_unique<VoltageScaler>(*shared_.predictor,
                                                  cfg.policy, cfg.vsInterval);
         // VS implies voltage-dependent errors on the controller.
         if (cfg.mode != InjectionMode::None && cfg.injectController)

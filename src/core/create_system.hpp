@@ -35,13 +35,11 @@ class MineSystem : public EmbodiedSystem
     }
     EpisodeResult runEpisode(int taskId, std::uint64_t seed,
                              const CreateConfig& cfg) override;
-    std::unique_ptr<EmbodiedSystem> replicate() const override;
     const PaperEnergyModel& energyModel() const override { return energy_; }
     void prepare(const CreateConfig& cfg) override;
 
     // --- typed convenience API (source-compatible with CreateSystem) -----
     using EmbodiedSystem::evaluate;
-    using EmbodiedSystem::runEpisodes;
 
     /** Run one episode under a configuration. */
     EpisodeResult runEpisode(MineTask task, std::uint64_t seed,
@@ -59,15 +57,12 @@ class MineSystem : public EmbodiedSystem
 
     /** Planner access; builds the rotated variant lazily. */
     PlannerModel& planner(bool rotated);
-    ControllerModel& controller() { return *shared_->controller; }
-    EntropyPredictor& predictor() { return *shared_->predictor; }
+    ControllerModel& controller() { return *shared_.controller; }
+    EntropyPredictor& predictor() { return *shared_.predictor; }
     AgentConfig& agentConfig() { return agentCfg_; }
 
   private:
-    /** Replica constructor: shares the frozen model set. */
-    MineSystem(std::shared_ptr<SharedModelSet> shared, AgentConfig agentCfg);
-
-    std::shared_ptr<SharedModelSet> shared_;
+    SharedModelSet shared_; //!< read-only once prepare() has run
     PaperEnergyModel energy_;
     AgentConfig agentCfg_;
 };

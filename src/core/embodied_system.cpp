@@ -1,9 +1,12 @@
 #include "core/embodied_system.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
-
-#include "core/parallel_eval.hpp"
+#include <exception>
+#include <mutex>
+#include <stdexcept>
+#include <thread>
 
 namespace create {
 
@@ -71,49 +74,79 @@ CreateConfig::applyTo(ComputeContext& ctx, bool isPlanner) const
     }
 }
 
-EmbodiedSystem::EmbodiedSystem() = default;
-
-EmbodiedSystem::~EmbodiedSystem() = default;
-
-void
-EmbodiedSystem::prepare(const CreateConfig&)
+std::vector<EpisodeResult>
+EmbodiedSystem::runJobs(const std::vector<EpisodeJob>& jobs, int threads,
+                        EpisodeSink* sink)
 {
+    const int n = static_cast<int>(jobs.size());
+    const int nThreads = std::max(1, std::min(threads, n));
+    // Serial freeze point: build lazy models and freeze every layer the
+    // configs touch before any thread runs, so episodes only read shared
+    // model state.
+    std::vector<const CreateConfig*> prepared;
+    for (const EpisodeJob& job : jobs) {
+        if (std::find(prepared.begin(), prepared.end(), job.cfg) !=
+            prepared.end())
+            continue;
+        if (nThreads > 1 && !prepared.empty() &&
+            job.cfg->bits != prepared.front()->bits)
+            throw std::invalid_argument(
+                "EmbodiedSystem::runJobs: a threaded fan-out must keep to "
+                "one QuantBits width");
+        prepare(*job.cfg);
+        prepared.push_back(job.cfg);
+    }
+
+    std::vector<EpisodeResult> results(jobs.size());
+    std::atomic<int> next{0};
+    std::mutex errorMu;
+    std::exception_ptr firstError;
+    const auto work = [&] {
+        try {
+            for (int i = next.fetch_add(1); i < n; i = next.fetch_add(1)) {
+                const EpisodeJob& job = jobs[static_cast<std::size_t>(i)];
+                EpisodeResult& slot = results[static_cast<std::size_t>(i)];
+                // An episode runs wholly on this thread, so the
+                // thread-local registry brackets exactly its counters.
+                MetricsRegistry& reg = MetricsRegistry::tls();
+                reg.beginEpisode();
+                const auto t0 = std::chrono::steady_clock::now();
+                slot = runEpisode(job.taskId, job.seed, *job.cfg);
+                const double wallMs =
+                    std::chrono::duration<double, std::milli>(
+                        std::chrono::steady_clock::now() - t0)
+                        .count();
+                if (sink)
+                    sink->onEpisode(i, slot, reg.endEpisode(wallMs));
+            }
+        } catch (...) {
+            next.store(n); // hand out no further jobs
+            std::lock_guard<std::mutex> lock(errorMu);
+            if (!firstError)
+                firstError = std::current_exception();
+        }
+    };
+    std::vector<std::thread> helpers;
+    helpers.reserve(static_cast<std::size_t>(nThreads - 1));
+    for (int t = 1; t < nThreads; ++t)
+        helpers.emplace_back(work);
+    work();
+    for (std::thread& h : helpers)
+        h.join();
+    if (firstError)
+        std::rethrow_exception(firstError);
+    return results;
 }
 
 std::vector<EpisodeResult>
 EmbodiedSystem::runEpisodes(int taskId, const CreateConfig& cfg, int reps,
-                            std::uint64_t seed0, EpisodeSink* sink)
+                            std::uint64_t seed0)
 {
-    if (evalThreads_ > 1 && reps > 1) {
-        // Never build more replicas than there are episodes to run; keep
-        // an existing pool if it is big enough and within the requested
-        // thread budget (replicas are whole model stacks -- rebuilding on
-        // every reps change would dwarf the episodes themselves).
-        const int wanted = std::min(evalThreads_, reps);
-        if (!evaluator_ || evaluator_->threads() < wanted ||
-            evaluator_->threads() > evalThreads_)
-            evaluator_ = std::make_unique<ParallelEvaluator>(*this, wanted);
-        return evaluator_->runEpisodes(taskId, cfg, reps, seed0, sink);
-    }
-    prepare(cfg);
-    std::vector<EpisodeResult> results;
-    results.reserve(static_cast<std::size_t>(reps));
-    for (int i = 0; i < reps; ++i) {
-        // An episode runs wholly on this thread, so the thread-local
-        // registry brackets exactly one episode's hot-path counters.
-        MetricsRegistry& reg = MetricsRegistry::tls();
-        reg.beginEpisode();
-        const auto t0 = std::chrono::steady_clock::now();
-        results.push_back(
-            runEpisode(taskId, seed0 + static_cast<std::uint64_t>(i), cfg));
-        const double wallMs =
-            std::chrono::duration<double, std::milli>(
-                std::chrono::steady_clock::now() - t0)
-                .count();
-        if (sink)
-            sink->onEpisode(i, results.back(), reg.endEpisode(wallMs));
-    }
-    return results;
+    std::vector<EpisodeJob> jobs;
+    jobs.reserve(static_cast<std::size_t>(std::max(reps, 0)));
+    for (int i = 0; i < reps; ++i)
+        jobs.push_back({taskId, &cfg, seed0 + static_cast<std::uint64_t>(i)});
+    return runJobs(jobs, evalThreads_);
 }
 
 TaskStats
@@ -127,6 +160,13 @@ void
 EmbodiedSystem::setEvalThreads(int n)
 {
     evalThreads_ = n < 1 ? 1 : n;
+}
+
+int
+EmbodiedSystem::defaultEvalThreads()
+{
+    const unsigned hw = std::thread::hardware_concurrency();
+    return hw == 0 ? 1 : static_cast<int>(hw);
 }
 
 } // namespace create

@@ -19,29 +19,32 @@
  *
  * evaluate() repeats episodes with deterministic per-episode seeding
  * (seed0 + rep) and aggregates success rate, average steps, effective
- * voltage, and paper-scale energy. With setEvalThreads(n > 1) the
- * repetitions fan out over a ParallelEvaluator worker pool whose replicas
- * are bit-identical to this system, so the aggregate TaskStats is the same
- * whether run with 1 or N threads.
+ * voltage, and paper-scale energy. Every episode fan-out -- evaluate()
+ * with setEvalThreads(n > 1), a SweepRunner wave, a coordinator range --
+ * goes through runJobs(): a flat list of {task, config, seed} episodes
+ * run on up to n threads that all share this one prepared system.
+ * Episodes build every mutable piece (contexts, RNG streams, meters,
+ * workspaces, world, agent) on their own stack, and results come back in
+ * job order, so the aggregate TaskStats is the same whether run with 1
+ * or N threads.
  */
 
-#include <memory>
+#include <cstdint>
+#include <vector>
 
 #include "agent/metrics.hpp"
 #include "core/voltage_policy.hpp"
 
 namespace create {
 
-class ParallelEvaluator;
-
 /**
- * Observer of completed episodes, called as they finish. With a parallel
- * evaluator the calls arrive from worker threads in completion order (not
- * episode order), so implementations must be thread-safe; `index` is the
- * episode's position within the runEpisodes() call (seed = seed0 + index).
- * The SweepRunner's store sink streams episodes to disk through this, so
- * a killed campaign keeps every episode that reached a flush instead of
- * losing the whole cell.
+ * Observer of completed episodes, called as they finish. With more than
+ * one thread the calls arrive from every running thread in completion
+ * order (not job order), so implementations must be thread-safe; `index`
+ * is the episode's position in the runJobs() job list. The SweepRunner's
+ * sinks land episodes in their ledgers and stream them to the store or
+ * the coordinator through this, so a killed campaign keeps every episode
+ * that reached a flush instead of losing the whole cell.
  */
 class EpisodeSink
 {
@@ -103,14 +106,21 @@ struct CreateConfig
                                    int interval = 5);
 };
 
+/** One episode of a runJobs() fan-out. */
+struct EpisodeJob
+{
+    int taskId = 0;
+    const CreateConfig* cfg = nullptr; //!< must outlive the runJobs() call
+    std::uint64_t seed = 0;
+};
+
 /**
  * Platform-generic episode runner + evaluation engine.
  *
  * Concrete backends (MineSystem, ManipSystem, NavSystem) supply the
- * per-episode behavioural simulation and a replicate() factory that rebuilds a
- * bit-identical copy from the deterministic model cache; the base class
- * owns repetition, seeding, aggregation, and (optionally) the parallel
- * fan-out across a worker pool.
+ * per-episode behavioural simulation over a frozen, shared model set
+ * (core/shared_models.hpp); the base class owns repetition, seeding,
+ * aggregation, and the fan-out of episodes over threads.
  */
 class EmbodiedSystem
 {
@@ -118,8 +128,7 @@ class EmbodiedSystem
     /** Default base seed for evaluate(); episode i runs at seed0 + i. */
     static constexpr std::uint64_t kDefaultSeed0 = 1000;
 
-    EmbodiedSystem();
-    virtual ~EmbodiedSystem();
+    virtual ~EmbodiedSystem() = default;
 
     /** Human-readable platform tag, e.g. "jarvis-1" or "openvla+octo". */
     virtual const char* platformName() const = 0;
@@ -128,58 +137,66 @@ class EmbodiedSystem
     virtual int numTasks() const = 0;
     virtual const char* taskName(int taskId) const = 0;
 
-    /** Run one episode under a configuration. */
+    /**
+     * Run one episode under a configuration. Safe to call from several
+     * threads at once once prepare(cfg) has run: an episode only reads
+     * the shared model state.
+     */
     virtual EpisodeResult runEpisode(int taskId, std::uint64_t seed,
                                      const CreateConfig& cfg) = 0;
-
-    /**
-     * Build a functionally identical copy of this system for a parallel
-     * worker. Backends share the frozen, immutable model set (FP32
-     * weights, cached quantized weights, scales, AD bounds) with their
-     * replicas and duplicate only mutable per-worker state, so replica
-     * construction is O(1) -- no model reload, recalibration, or
-     * re-freeze per worker (see core/shared_models.hpp). prepare() is
-     * the serial point that freezes everything a config will touch
-     * before episodes fan out.
-     */
-    virtual std::unique_ptr<EmbodiedSystem> replicate() const = 0;
 
     /** Paper-scale energy pricing for this platform's models. */
     virtual const PaperEnergyModel& energyModel() const = 0;
 
     /**
      * Materialize lazily-built state a configuration needs (rotated
-     * planner, entropy predictor) before episodes run. Called serially on
-     * every worker replica so no model is trained/loaded inside the pool.
+     * planner, entropy predictor) and freeze every layer it touches at
+     * its width. The serial freeze point every backend must define:
+     * runJobs() calls it on the calling thread before any episode runs,
+     * and episodes on other threads then only read model state.
      */
-    virtual void prepare(const CreateConfig& cfg);
+    virtual void prepare(const CreateConfig& cfg) = 0;
 
     /**
-     * Run `reps` episodes at seeds seed0, seed0+1, ... and return results
-     * in episode order (serial, or fanned out when evalThreads() > 1). An
-     * optional sink observes each episode as it completes (thread-safe,
-     * completion order; see EpisodeSink).
+     * Run `jobs` on up to `threads` threads sharing this system and
+     * return their results in job order. The calling thread is one of
+     * them, so threads <= 1 spawns nothing, and no more threads start
+     * than there are jobs. Each distinct config is prepare()d serially
+     * first; a call that fans out must keep to one QuantBits width
+     * (freezing is per-width state; std::invalid_argument otherwise).
+     * Each episode's MetricsRegistry block is bracketed on the thread
+     * that runs it and handed, with the result, to the optional sink by
+     * job index. The first exception stops further jobs and is rethrown
+     * once every thread has joined.
+     */
+    std::vector<EpisodeResult> runJobs(const std::vector<EpisodeJob>& jobs,
+                                       int threads,
+                                       EpisodeSink* sink = nullptr);
+
+    /**
+     * Run `reps` episodes at seeds seed0, seed0+1, ... on the
+     * setEvalThreads() budget and return them in episode order.
      */
     std::vector<EpisodeResult> runEpisodes(int taskId,
                                            const CreateConfig& cfg, int reps,
-                                           std::uint64_t seed0 = kDefaultSeed0,
-                                           EpisodeSink* sink = nullptr);
+                                           std::uint64_t seed0 = kDefaultSeed0);
 
     /** Repeat episodes and aggregate (paper: >=100 repetitions). */
     TaskStats evaluate(int taskId, const CreateConfig& cfg, int reps,
                        std::uint64_t seed0 = kDefaultSeed0);
 
     /**
-     * Number of worker threads evaluate() fans episodes out to. 1 (the
-     * default) runs serially on this instance; n > 1 builds a
-     * ParallelEvaluator with n bit-identical replicas on first use.
+     * Threads evaluate() runs episodes on. 1 (the default) runs them
+     * serially on the calling thread; n < 1 clamps to 1.
      */
     void setEvalThreads(int n);
-    int evalThreads() const { return evalThreads_; }
+
+    /** Hardware concurrency (>= 1): the default --threads of the
+     *  benches and examples. */
+    static int defaultEvalThreads();
 
   private:
     int evalThreads_ = 1;
-    std::unique_ptr<ParallelEvaluator> evaluator_;
 };
 
 } // namespace create

@@ -47,45 +47,35 @@ ManipSystem::ManipSystem(std::string plannerPlatform,
       controllerPlatform_(std::move(controllerPlatform)),
       label_(plannerPlatform_ + "+" + controllerPlatform_),
       verbose_(verbose),
-      shared_(std::make_shared<SharedModelSet>()),
       energy_(manipEnergyModel(plannerPlatform_, controllerPlatform_))
 {
-    shared_->planner = platforms::manipPlanner(plannerPlatform_, verbose);
-    shared_->controller =
+    shared_.planner = platforms::manipPlanner(plannerPlatform_, verbose);
+    shared_.controller =
         platforms::manipController(controllerPlatform_, verbose);
-}
-
-ManipSystem::ManipSystem(const ManipSystem& prototype,
-                         std::shared_ptr<SharedModelSet> shared)
-    : plannerPlatform_(prototype.plannerPlatform_),
-      controllerPlatform_(prototype.controllerPlatform_),
-      label_(prototype.label_), verbose_(false), shared_(std::move(shared)),
-      energy_(prototype.energy_)
-{
 }
 
 PlannerModel&
 ManipSystem::planner(bool rotated)
 {
     if (!rotated)
-        return *shared_->planner;
-    if (!shared_->rotatedPlanner) {
+        return *shared_.planner;
+    if (!shared_.rotatedPlanner) {
         std::shared_ptr<PlannerModel> r =
             platforms::manipPlanner(plannerPlatform_, /*verbose=*/false);
         applyWeightRotation(*r);
         platforms::calibrateManipPlanner(*r);
-        shared_->rotatedPlanner = std::move(r);
+        shared_.rotatedPlanner = std::move(r);
     }
-    return *shared_->rotatedPlanner;
+    return *shared_.rotatedPlanner;
 }
 
 EntropyPredictor&
 ManipSystem::predictor()
 {
-    if (!shared_->predictor)
-        shared_->predictor = platforms::manipPredictor(
-            controllerPlatform_, *shared_->controller, verbose_);
-    return *shared_->predictor;
+    if (!shared_.predictor)
+        shared_.predictor = platforms::manipPredictor(
+            controllerPlatform_, *shared_.controller, verbose_);
+    return *shared_.predictor;
 }
 
 void
@@ -93,18 +83,11 @@ ManipSystem::prepare(const CreateConfig& cfg)
 {
     // Build lazy members and freeze every layer the config will touch at
     // its deployment width -- serially, so shared model state is read-only
-    // once episodes (possibly on a worker pool) start.
+    // once episodes (possibly on several threads) start.
     warmFreezePlanner(planner(cfg.weightRotation), cfg.bits);
-    warmFreezeController(*shared_->controller, cfg.bits);
+    warmFreezeController(*shared_.controller, cfg.bits);
     if (cfg.voltageScaling)
         warmFreezePredictor(predictor());
-}
-
-std::unique_ptr<EmbodiedSystem>
-ManipSystem::replicate() const
-{
-    // Replicas share the frozen model set; see core/shared_models.hpp.
-    return std::unique_ptr<EmbodiedSystem>(new ManipSystem(*this, shared_));
 }
 
 EpisodeResult
@@ -114,7 +97,7 @@ ManipSystem::runEpisode(int taskId, std::uint64_t seed,
     return runDecodedPlanEpisode<ManipEpisodeTraits>(
         taskId, seed, cfg,
         EpisodeSalts{0x111ull, 0x222ull, 0x333ull, 0x444ull},
-        planner(cfg.weightRotation), *shared_->controller,
+        planner(cfg.weightRotation), *shared_.controller,
         cfg.voltageScaling ? &predictor() : nullptr);
 }
 

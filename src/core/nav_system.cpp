@@ -45,45 +45,35 @@ NavSystem::NavSystem(std::string plannerPlatform,
       controllerPlatform_(std::move(controllerPlatform)),
       label_(plannerPlatform_ + "+" + controllerPlatform_),
       verbose_(verbose),
-      shared_(std::make_shared<SharedModelSet>()),
       energy_(navEnergyModel(controllerPlatform_))
 {
-    shared_->planner = platforms::navPlanner(plannerPlatform_, verbose);
-    shared_->controller =
+    shared_.planner = platforms::navPlanner(plannerPlatform_, verbose);
+    shared_.controller =
         platforms::navController(controllerPlatform_, verbose);
-}
-
-NavSystem::NavSystem(const NavSystem& prototype,
-                     std::shared_ptr<SharedModelSet> shared)
-    : plannerPlatform_(prototype.plannerPlatform_),
-      controllerPlatform_(prototype.controllerPlatform_),
-      label_(prototype.label_), verbose_(false), shared_(std::move(shared)),
-      energy_(prototype.energy_)
-{
 }
 
 PlannerModel&
 NavSystem::planner(bool rotated)
 {
     if (!rotated)
-        return *shared_->planner;
-    if (!shared_->rotatedPlanner) {
+        return *shared_.planner;
+    if (!shared_.rotatedPlanner) {
         std::shared_ptr<PlannerModel> r =
             platforms::navPlanner(plannerPlatform_, /*verbose=*/false);
         applyWeightRotation(*r);
         platforms::calibrateNavPlanner(*r);
-        shared_->rotatedPlanner = std::move(r);
+        shared_.rotatedPlanner = std::move(r);
     }
-    return *shared_->rotatedPlanner;
+    return *shared_.rotatedPlanner;
 }
 
 EntropyPredictor&
 NavSystem::predictor()
 {
-    if (!shared_->predictor)
-        shared_->predictor = platforms::navPredictor(
-            controllerPlatform_, *shared_->controller, verbose_);
-    return *shared_->predictor;
+    if (!shared_.predictor)
+        shared_.predictor = platforms::navPredictor(
+            controllerPlatform_, *shared_.controller, verbose_);
+    return *shared_.predictor;
 }
 
 void
@@ -91,18 +81,11 @@ NavSystem::prepare(const CreateConfig& cfg)
 {
     // Build lazy members and freeze every layer the config will touch at
     // its deployment width -- serially, so shared model state is read-only
-    // once episodes (possibly on a worker pool) start.
+    // once episodes (possibly on several threads) start.
     warmFreezePlanner(planner(cfg.weightRotation), cfg.bits);
-    warmFreezeController(*shared_->controller, cfg.bits);
+    warmFreezeController(*shared_.controller, cfg.bits);
     if (cfg.voltageScaling)
         warmFreezePredictor(predictor());
-}
-
-std::unique_ptr<EmbodiedSystem>
-NavSystem::replicate() const
-{
-    // Replicas share the frozen model set; see core/shared_models.hpp.
-    return std::unique_ptr<EmbodiedSystem>(new NavSystem(*this, shared_));
 }
 
 EpisodeResult
@@ -112,7 +95,7 @@ NavSystem::runEpisode(int taskId, std::uint64_t seed,
     return runDecodedPlanEpisode<NavEpisodeTraits>(
         taskId, seed, cfg,
         EpisodeSalts{0x555ull, 0x666ull, 0x777ull, 0x888ull},
-        planner(cfg.weightRotation), *shared_->controller,
+        planner(cfg.weightRotation), *shared_.controller,
         cfg.voltageScaling ? &predictor() : nullptr);
 }
 

@@ -50,13 +50,11 @@ class NavSystem : public EmbodiedSystem
     }
     EpisodeResult runEpisode(int taskId, std::uint64_t seed,
                              const CreateConfig& cfg) override;
-    std::unique_ptr<EmbodiedSystem> replicate() const override;
     const PaperEnergyModel& energyModel() const override { return energy_; }
     void prepare(const CreateConfig& cfg) override;
 
     // --- typed convenience API -------------------------------------------
     using EmbodiedSystem::evaluate;
-    using EmbodiedSystem::runEpisodes;
 
     EpisodeResult runEpisode(NavTask task, std::uint64_t seed,
                              const CreateConfig& cfg)
@@ -72,7 +70,7 @@ class NavSystem : public EmbodiedSystem
 
     /** Planner access; builds the rotated variant lazily. */
     PlannerModel& planner(bool rotated);
-    ControllerModel& controller() { return *shared_->controller; }
+    ControllerModel& controller() { return *shared_.controller; }
     /** Entropy predictor; trained/loaded lazily (only VS configs need it). */
     EntropyPredictor& predictor();
 
@@ -83,16 +81,12 @@ class NavSystem : public EmbodiedSystem
     }
 
   private:
-    /** Replica constructor: shares the frozen model set. */
-    NavSystem(const NavSystem& prototype,
-              std::shared_ptr<SharedModelSet> shared);
-
     std::string plannerPlatform_;
     std::string controllerPlatform_;
     std::string label_;
     bool verbose_;
 
-    std::shared_ptr<SharedModelSet> shared_;
+    SharedModelSet shared_; //!< read-only once prepare() has run
     PaperEnergyModel energy_;
 };
 

@@ -2,27 +2,23 @@
 
 /**
  * @file
- * SharedModelSet: the immutable-at-episode-time model bundle one
- * EmbodiedSystem backend and all of its ParallelEvaluator replicas share.
+ * SharedModelSet: the model bundle of one EmbodiedSystem backend, shared
+ * by every thread that runs its episodes and immutable at episode time.
  *
- * Replicas used to rebuild the whole stack per worker -- deserializing
- * every FP32 weight tensor from the model cache, re-running calibration,
- * and re-freezing every per-layer QuantGemmState -- multiplying replica
- * build time and resident model memory by the thread count for state that
- * never changes during episodes. Now the backends hold their models
- * behind shared_ptr and replicate() just bumps reference counts: frozen
+ * runJobs() points all of its threads at one system, so frozen
  * quantized weights (QuantGemmState::wq + scales), FP32 weight tensors,
- * and calibration observers exist once per process. Only genuinely
- * mutable per-worker state (per-episode ComputeContexts with their RNG
- * streams, EnergyMeters, and GemmWorkspaces) is created per worker.
+ * and calibration observers exist once per process; each episode builds
+ * its own mutable state (ComputeContexts with their RNG streams,
+ * EnergyMeters, GemmWorkspaces, world, agent) on its own stack.
  *
  * Safety contract: episode execution only reads model state once every
- * QuantGemmState is frozen at the deployment bit-width. prepare(cfg)
- * enforces that by running the warmFreeze* helpers below -- one throwaway
- * clean inference that freezes every layer the config will touch --
- * serially before episodes fan out (ParallelEvaluator already calls
- * prepare on the calling thread). Lazily-built members (rotated planner,
- * entropy predictor) are likewise only constructed inside prepare.
+ * QuantGemmState is frozen at the deployment bit-width. prepare(cfg) is
+ * the serial freeze point: it runs the warmFreeze* helpers below -- one
+ * throwaway clean inference that freezes every layer the config will
+ * touch -- and runJobs() calls it on the calling thread for each
+ * distinct config before any episode starts. Lazily-built members
+ * (rotated planner, entropy predictor) are likewise only constructed
+ * inside prepare.
  */
 
 #include <memory>
@@ -33,7 +29,7 @@
 
 namespace create {
 
-/** Frozen-model bundle shared across a backend and its replicas. */
+/** Frozen-model bundle shared by every thread running a backend. */
 struct SharedModelSet
 {
     std::shared_ptr<PlannerModel> planner;

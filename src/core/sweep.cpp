@@ -9,7 +9,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
-#include <thread>
 
 #include "common/chaos.hpp"
 #include "common/io_retry.hpp"
@@ -168,52 +167,73 @@ SweepRunner::Ledger::prefixLen(int limit) const
     return n;
 }
 
-/** Streams one work unit's completed episodes into the ledger + store. */
+/**
+ * Streams one wave's completed episodes into their ledgers + the store.
+ * Job i of the wave is episode slots[i].index of ledger slots[i].unit.
+ * Whichever thread lands a ledger's last episode finalizes its cells and
+ * flushes the store: the ledger boundary a killed campaign resumes from.
+ */
 class SweepRunner::StoreSink : public EpisodeSink
 {
   public:
-    StoreSink(SweepRunner& runner, const std::string& fingerprint,
-              Ledger& ledger, const PaperEnergyModel& energy)
-        : runner_(runner), fingerprint_(fingerprint), ledger_(ledger),
-          energy_(energy), toStore_(!runner.opt_.storePath.empty())
+    struct Slot
+    {
+        WorkUnit* unit;
+        int index; //!< episode index within the unit's ledger
+    };
+
+    StoreSink(SweepRunner& runner, const EmbodiedSystem& sys)
+        : runner_(runner), sys_(sys)
     {
     }
 
-    int base = 0; //!< ledger index of this run's episode 0
+    std::vector<Slot> slots; //!< one per job of the wave
 
-    void onEpisode(int index, const EpisodeResult& result,
+    void onEpisode(int job, const EpisodeResult& result,
                    const EpisodeMetrics& metrics) override
     {
+        const Slot& slot = slots[static_cast<std::size_t>(job)];
+        WorkUnit& unit = *slot.unit;
         // Price the episode once, at completion: the record is the unit
         // of campaign state from here on. The metrics payload rides along
         // into the ledger/store but never into the TaskStats fold.
-        const EpisodeRecord rec{result, energy_.episodeComputeJ(result),
-                                metrics};
+        const EpisodeRecord rec{
+            result, sys_.energyModel().episodeComputeJ(result), metrics};
         bool doFlush = false;
+        bool ledgerDone = false;
         {
             std::lock_guard<std::mutex> lock(runner_.storeMu_);
-            runner_.landEpisodeLocked(ledger_, base + index, rec);
-            if (toStore_)
+            runner_.landEpisodeLocked(*unit.led, slot.index, rec);
+            if (!runner_.opt_.storePath.empty())
                 runner_.pendingRecords_.push_back(episodeToRecord(
-                    sweepEpisodeKey(fingerprint_, base + index), rec));
+                    sweepEpisodeKey(unit.fingerprint, slot.index), rec));
             if (++runner_.flushTick_ >= runner_.opt_.flushEvery) {
                 runner_.flushTick_ = 0;
                 doFlush = true;
             }
+            ledgerDone = --unit.remaining == 0;
         }
-        if (doFlush) {
-            runner_.flushStore();
-            if (runner_.opt_.progress)
-                runner_.progressLine();
+        if (ledgerDone)
+            runner_.finalizeGroup(unit, /*executedNow=*/true);
+        if (!doFlush && !ledgerDone)
+            return;
+        runner_.flushStore();
+        if (runner_.opt_.progress)
+            runner_.progressLine();
+        if (ledgerDone && runner_.opt_.verbose) {
+            const CellState& owner = runner_.cells_[unit.owner];
+            std::fprintf(stderr, "[sweep] done %s (%s, success %.0f%%)\n",
+                         owner.cell.label.empty()
+                             ? unit.fingerprint.c_str()
+                             : owner.cell.label.c_str(),
+                         sys_.taskName(owner.cell.taskId),
+                         100.0 * owner.stats.successRate);
         }
     }
 
   private:
     SweepRunner& runner_;
-    const std::string& fingerprint_;
-    Ledger& ledger_;
-    const PaperEnergyModel& energy_;
-    const bool toStore_;
+    const EmbodiedSystem& sys_;
 };
 
 /**
@@ -257,8 +277,8 @@ class SweepRunner::CoordSink : public EpisodeSink
         jr.strings.emplace_back("by", runner_.workerId_);
         bool flushed = false;
         {
-            // Episodes complete on the evaluator's worker threads; the
-            // range buffer, the send cursor and the client are shared.
+            // Episodes complete on every runJobs() thread; the range
+            // buffer, the send cursor and the client are shared.
             std::lock_guard<std::mutex> lock(mu_);
             records.push_back(std::move(jr));
             if (!broken &&
@@ -286,7 +306,7 @@ class SweepRunner::CoordSink : public EpisodeSink
     }
 
     /** Records not yet on the wire (tail of the range); call after the
-     *  range's runEpisodes() has returned. */
+     *  range's runJobs() has returned. */
     std::vector<JsonRecord> unsent() const
     {
         return {records.begin() + static_cast<std::ptrdiff_t>(sent_),
@@ -383,19 +403,13 @@ SweepRunner::stats(std::size_t handle) const
 EmbodiedSystem&
 SweepRunner::system(const std::string& platform)
 {
-    return *prototypeFor(platform);
-}
-
-EmbodiedSystem*
-SweepRunner::prototypeFor(const std::string& platform)
-{
-    auto it = prototypes_.find(platform);
-    if (it == prototypes_.end())
-        it = prototypes_
+    auto it = systems_.find(platform);
+    if (it == systems_.end())
+        it = systems_
                  .emplace(platform, PlatformRegistry::instance().make(
                                         platform, /*verbose=*/false))
                  .first;
-    return it->second.get();
+    return *it->second;
 }
 
 void
@@ -423,17 +437,15 @@ SweepRunner::landEpisodeLocked(Ledger& ledger, int index,
 }
 
 void
-SweepRunner::finalizeGroup(const std::string& fingerprint,
-                           const std::vector<std::size_t>& members,
-                           std::size_t owner, bool executedNow)
+SweepRunner::finalizeGroup(const WorkUnit& unit, bool executedNow)
 {
     std::lock_guard<std::mutex> lock(storeMu_);
-    const Ledger& led = ledgers_.find(fingerprint)->second;
-    for (const std::size_t m : members) {
+    const Ledger& led = *unit.led;
+    for (const std::size_t m : unit.members) {
         CellState& st = cells_[m];
         st.stats = aggregate(led.eps.data(),
                              static_cast<std::size_t>(st.cell.reps));
-        if (m == owner && executedNow)
+        if (m == unit.owner && executedNow)
             st.source = CellSource::Executed;
         else if (led.anyExecuted)
             st.source = CellSource::Sliced;
@@ -443,30 +455,6 @@ SweepRunner::finalizeGroup(const std::string& fingerprint,
     }
     if (executedNow)
         ++unitsDone_;
-}
-
-void
-SweepRunner::runUnit(WorkUnit& unit, EmbodiedSystem& sys)
-{
-    const SweepCell& c = cells_[unit.owner].cell;
-    StoreSink sink(*this, unit.fingerprint, *unit.led, sys.energyModel());
-    for (const auto& [start, count] : unit.runs) {
-        sink.base = start;
-        sys.runEpisodes(c.taskId, c.cfg, count,
-                        c.seed0 + static_cast<std::uint64_t>(start), &sink);
-    }
-    finalizeGroup(unit.fingerprint, unit.members, unit.owner,
-                  /*executedNow=*/true);
-    if (!opt_.storePath.empty())
-        flushStore(); // unit boundary: a killed campaign resumes from here
-    if (opt_.progress)
-        progressLine();
-    if (opt_.verbose)
-        std::fprintf(stderr, "[sweep] done %s (%s, success %.0f%%)\n",
-                     c.label.empty() ? unit.fingerprint.c_str()
-                                     : c.label.c_str(),
-                     sys.taskName(c.taskId),
-                     100.0 * cells_[unit.owner].stats.successRate);
 }
 
 void
@@ -756,11 +744,10 @@ SweepRunner::runConnected(std::vector<WorkUnit>& units)
     for (WorkUnit& u : units)
         byFp[u.fingerprint] = &u;
 
-    // Units run one range at a time in-process (the coordinator is the
-    // scale-out), so the serial prepare() per fingerprint switch
-    // satisfies the per-width weight-freeze constraint; the thread
-    // budget fans out within the range via the episode engine.
-    std::string preparedFp;
+    // Ranges run one at a time in-process (the coordinator is the
+    // scale-out). Each is one runJobs() call, which prepares the range's
+    // config serially -- satisfying the per-width weight-freeze
+    // constraint -- and fans its episodes out over the thread budget.
     for (;;) {
         JsonRecord rec;
         std::string err;
@@ -771,7 +758,6 @@ SweepRunner::runConnected(std::vector<WorkUnit>& units)
                          "reconnecting\n",
                          err.c_str());
             reconnect();
-            preparedFp.clear(); // replays are cheap; state is unknown
             continue;
         }
         std::string verb;
@@ -803,18 +789,22 @@ SweepRunner::runConnected(std::vector<WorkUnit>& units)
         }
         WorkUnit& unit = *uit->second;
         const SweepCell& c = cells_[unit.owner].cell;
-        EmbodiedSystem* proto = prototypeFor(c.platform);
-        if (preparedFp != fp) {
-            proto->prepare(c.cfg);
-            proto->setEvalThreads(opt_.threads);
-            preparedFp = fp;
+        EmbodiedSystem& sys = system(c.platform);
+        {
+            // The coordinator sizes ranges against the deepest need any
+            // worker declared for this ledger, which can exceed ours.
+            std::lock_guard<std::mutex> lock(storeMu_);
+            unit.led->grow(start + count);
         }
+        std::vector<EpisodeJob> jobs;
+        jobs.reserve(static_cast<std::size_t>(count));
+        for (int i = start; i < start + count; ++i)
+            jobs.push_back(
+                {c.taskId, &c.cfg, c.seed0 + static_cast<std::uint64_t>(i)});
         CoordSink sink(*this, unit.fingerprint, *unit.led,
-                       proto->energyModel(), client);
+                       sys.energyModel(), client);
         sink.base = start;
-        proto->runEpisodes(c.taskId, c.cfg, count,
-                           c.seed0 + static_cast<std::uint64_t>(start),
-                           &sink);
+        sys.runJobs(jobs, opt_.threads, &sink);
         ranAny[fp] = true;
         // Land the range: the unsent tail (or, after a mid-range send
         // failure, the whole range again) followed by the completion
@@ -835,7 +825,6 @@ SweepRunner::runConnected(std::vector<WorkUnit>& units)
                          "reconnecting to re-send\n",
                          fp.c_str(), start, start + count, err.c_str());
             reconnect();
-            preparedFp.clear();
             sink.broken = true; // everything must go again
         }
         if (opt_.verbose)
@@ -898,8 +887,7 @@ SweepRunner::runConnected(std::vector<WorkUnit>& units)
                 reconnect();
             }
         }
-        finalizeGroup(u.fingerprint, u.members, u.owner,
-                      /*executedNow=*/ranAny.count(u.fingerprint) > 0);
+        finalizeGroup(u, /*executedNow=*/ranAny.count(u.fingerprint) > 0);
         if (opt_.progress)
             progressLine();
     }
@@ -1014,16 +1002,10 @@ SweepRunner::run()
                     led.have[static_cast<std::size_t>(idx)] = 1;
                 }
         }
-        for (int k = 0; k < u.need;) {
-            if (led.have[static_cast<std::size_t>(k)]) {
-                ++k;
-                continue;
-            }
-            const int start = k;
-            while (k < u.need && !led.have[static_cast<std::size_t>(k)])
-                ++k;
-            u.runs.emplace_back(start, k - start);
-        }
+        for (int k = 0; k < u.need; ++k)
+            if (!led.have[static_cast<std::size_t>(k)])
+                u.missing.push_back(k);
+        u.remaining = static_cast<int>(u.missing.size());
         u.led = &led;
         if (!opt_.storePath.empty()) {
             JsonRecord meta = ledgerMeta(fp, cells_[u.owner].cell);
@@ -1031,8 +1013,8 @@ SweepRunner::run()
             pendingIo_.push_back(meta); // appended at the next flush
             storeRecords_[fp] = std::move(meta);
         }
-        if (u.runs.empty()) {
-            finalizeGroup(fp, u.members, u.owner, /*executedNow=*/false);
+        if (u.missing.empty()) {
+            finalizeGroup(u, /*executedNow=*/false);
             phaseHadWork = true;
         } else {
             units.push_back(std::move(u));
@@ -1044,8 +1026,7 @@ SweepRunner::run()
         std::lock_guard<std::mutex> lock(storeMu_);
         progressTotal_ = 0;
         for (const WorkUnit& u : units)
-            for (const auto& [start, count] : u.runs)
-                progressTotal_ += count;
+            progressTotal_ += u.remaining;
         progressDone_ = progressSucc_ = 0;
         unitsTotal_ = units.size();
         unitsDone_ = 0;
@@ -1084,62 +1065,25 @@ SweepRunner::run()
         it->second.push_back(k);
     }
 
-    for (auto& [key, bucketUnits] : buckets) {
-        const std::string& platform =
-            cells_[units[bucketUnits.front()].owner].cell.platform;
-        EmbodiedSystem* proto = prototypeFor(platform);
-        // Serial warm point: build lazy models (rotated planner, entropy
-        // predictor) and freeze every layer at this bucket's width before
-        // any fan-out, so workers only read shared model state.
-        for (const std::size_t k : bucketUnits)
-            proto->prepare(cells_[units[k].owner].cell.cfg);
-
-        const int cellWorkers = std::max(
-            1, std::min<int>(opt_.threads,
-                             static_cast<int>(bucketUnits.size())));
-        // Leftover thread budget fans out within ledgers via the existing
-        // episode-parallel engine (a one-ledger campaign still scales).
-        const int episodeThreads = std::max(1, opt_.threads / cellWorkers);
-
-        if (cellWorkers == 1) {
-            proto->setEvalThreads(episodeThreads);
-            for (const std::size_t k : bucketUnits)
-                runUnit(units[k], *proto);
-            continue;
+    // One wave per bucket: every pending ledger's missing episodes as
+    // one flat job list over the thread budget, so a deep ledger spreads
+    // over every thread and no thread idles while another finishes a
+    // ledger alone. runJobs prepares the wave's configs serially first.
+    for (const auto& [key, bucketUnits] : buckets) {
+        EmbodiedSystem& sys =
+            system(cells_[units[bucketUnits.front()].owner].cell.platform);
+        StoreSink sink(*this, sys);
+        std::vector<EpisodeJob> jobs;
+        for (const std::size_t k : bucketUnits) {
+            WorkUnit& u = units[k];
+            const SweepCell& c = cells_[u.owner].cell;
+            for (const int i : u.missing) {
+                jobs.push_back(
+                    {c.taskId, &c.cfg, c.seed0 + static_cast<std::uint64_t>(i)});
+                sink.slots.push_back({&u, i});
+            }
         }
-
-        auto& replicas = replicas_[platform];
-        while (static_cast<int>(replicas.size()) < cellWorkers)
-            replicas.push_back(proto->replicate());
-        for (auto& r : replicas)
-            r->setEvalThreads(episodeThreads);
-
-        std::atomic<std::size_t> cursor{0};
-        std::string firstError;
-        std::vector<std::thread> workers;
-        workers.reserve(static_cast<std::size_t>(cellWorkers));
-        for (int w = 0; w < cellWorkers; ++w) {
-            workers.emplace_back([&, w] {
-                try {
-                    for (;;) {
-                        const std::size_t i = cursor.fetch_add(1);
-                        if (i >= bucketUnits.size())
-                            return;
-                        runUnit(units[bucketUnits[i]],
-                                *replicas[static_cast<std::size_t>(w)]);
-                    }
-                } catch (const std::exception& e) {
-                    std::lock_guard<std::mutex> lock(storeMu_);
-                    if (firstError.empty())
-                        firstError = e.what();
-                }
-            });
-        }
-        for (auto& w : workers)
-            w.join();
-        if (!firstError.empty())
-            throw std::runtime_error("SweepRunner worker failed: " +
-                                     firstError);
+        sys.runJobs(jobs, opt_.threads, &sink);
     }
 
     if (!opt_.storePath.empty())

@@ -21,13 +21,13 @@
  *    reps=120 request, executing only episodes 50..119. TaskStats is a
  *    pure deterministic fold (aggregate()) over the ledger prefix, so
  *    sliced, resumed, and executed cells are all bit-identical.
- *  - Cell-level sharding: a shared worker pool drains the queue of
- *    pending ledgers; each worker owns bit-identical EmbodiedSystem
- *    replicas (frozen model set shared, see core/shared_models.hpp) and
- *    runs episodes through the existing engine, so every cell's stats are
- *    bit-identical to serial execution regardless of thread count. When
- *    ledgers are scarcer than workers the leftover budget fans out
- *    *within* a ledger via setEvalThreads (the ParallelEvaluator path).
+ *  - Episode-level scheduling: run() hands every pending ledger's
+ *    missing episodes to EmbodiedSystem::runJobs as one flat job list,
+ *    run on Options::threads threads that share the platform's one
+ *    prepared system (frozen model set, see core/shared_models.hpp).
+ *    Whichever thread lands a ledger's last episode finalizes its cells
+ *    and flushes the store. Episodes are seeded, so every cell's stats
+ *    are bit-identical to serial execution regardless of thread count.
  *  - Streaming result store: completed episodes flush to the store in
  *    batches of Options::flushEvery (json: atomic tmp+rename rewrites;
  *    binlog: O(batch) appends), so a campaign killed mid-cell resumes
@@ -46,8 +46,8 @@
  * Scheduling constraint: freezing quantized weights is per-width state on
  * the shared model set, so cells of the same platform at different
  * QuantBits must not run concurrently. run() therefore executes in waves
- * of one (platform, bits) bucket each, pre-warming the bucket's configs
- * serially (prepare) before fanning its ledgers out.
+ * of one (platform, bits) bucket each, one runJobs() call per wave, which
+ * prepares the wave's configs serially before fanning its episodes out.
  */
 
 #include <cstdint>
@@ -113,7 +113,7 @@ class SweepRunner
   public:
     struct Options
     {
-        int threads = 1;       //!< total worker budget (ledgers + episodes)
+        int threads = 1;       //!< threads running episodes
         std::string storePath; //!< result store; empty disables it
         /**
          * On-disk format when the store is created: Json (default, the
@@ -186,8 +186,9 @@ class SweepRunner
     const std::vector<EpisodeResult>& episodes(std::size_t handle);
 
     /**
-     * The engine's prototype system of a platform (built on demand from
-     * the PlatformRegistry); useful for task-name lookups when rendering.
+     * The engine's system of a platform (built on demand from the
+     * PlatformRegistry), which runs every episode of that platform;
+     * useful for task-name lookups when rendering.
      */
     EmbodiedSystem& system(const std::string& platform);
 
@@ -229,29 +230,26 @@ class SweepRunner
         bool done = false;
     };
 
-    /** One pending ledger: the episode ranges it still needs to run. */
+    /** One pending ledger: the episodes it still needs to run. */
     struct WorkUnit
     {
         std::string fingerprint;
         std::size_t owner = 0; //!< first member cell with the max reps
         int need = 0;
-        std::vector<std::pair<int, int>> runs; //!< missing (start, count)
+        std::vector<int> missing;              //!< episode indices to run
         std::vector<std::size_t> members;      //!< primary cells, any reps
         Ledger* led = nullptr;
+        int remaining = 0; //!< episodes still to land (under storeMu_)
     };
 
-    class StoreSink; //!< EpisodeSink streaming a unit's episodes in
+    class StoreSink; //!< EpisodeSink landing a wave's episodes
     class CoordSink; //!< EpisodeSink streaming a range to the coordinator
 
-    EmbodiedSystem* prototypeFor(const std::string& platform);
-    void runUnit(WorkUnit& unit, EmbodiedSystem& sys);
     /** Land one completed episode in its ledger and the progress
      *  accounting; both sinks call it with storeMu_ held. */
     void landEpisodeLocked(Ledger& ledger, int index,
                            const EpisodeRecord& rec);
-    void finalizeGroup(const std::string& fingerprint,
-                       const std::vector<std::size_t>& members,
-                       std::size_t owner, bool executedNow);
+    void finalizeGroup(const WorkUnit& unit, bool executedNow);
     void loadStore(std::map<std::string, std::map<int, EpisodeRecord>>& eps);
     void flushStore();
     void progressLine();
@@ -269,9 +267,7 @@ class SweepRunner
     std::deque<CellState> cells_;
     std::map<std::string, std::size_t> byKey_; //!< (fp, reps) -> primary
     std::map<std::string, Ledger> ledgers_;
-    std::map<std::string, std::unique_ptr<EmbodiedSystem>> prototypes_;
-    std::map<std::string, std::vector<std::unique_ptr<EmbodiedSystem>>>
-        replicas_;
+    std::map<std::string, std::unique_ptr<EmbodiedSystem>> systems_;
     /**
      * Store records by name: everything loaded from disk plus every
      * flushed episode. Flushes write this merged view, so records

@@ -6,8 +6,9 @@
  *  run: coordinator + two concurrent socket workers + one deserting
  *  client (whose range is re-dispatched), a phased worker that spans
  *  two run() calls on one connection, a --once coordinator outliving
- *  a worker that dropped without `bye`, and resume from an existing
- *  store with and without episode holes (cross-process gap-fill). */
+ *  a worker that dropped without `bye`, a worker whose ledger another
+ *  worker declared deeper, and resume from an existing store with and
+ *  without episode holes (cross-process gap-fill). */
 
 #include <gtest/gtest.h>
 
@@ -129,6 +130,34 @@ campaignCells(int reps)
         {"openvla+octo", static_cast<int>(ManipTask::Wine), manipAdwr,
          reps},
     };
+}
+
+/**
+ * Declare `fp` at `need` and fetch its stored episodes until `fetched`;
+ * returns the episodes received, or -1 on a broken connection.
+ */
+int
+declareAndFetch(CoordClient& c, const std::string& fp, int need,
+                std::string* error)
+{
+    JsonRecord declare = coordwire::control("need");
+    declare.strings.emplace_back("fp", fp);
+    declare.numbers.emplace_back("need", need);
+    JsonRecord fetch = coordwire::control("fetch");
+    fetch.strings.emplace_back("fp", fp);
+    fetch.numbers.emplace_back("need", need);
+    if (!c.send(std::vector<JsonRecord>{declare, fetch}, error))
+        return -1;
+    int episodes = 0;
+    JsonRecord rec;
+    std::string verb;
+    while (c.recv(rec, error)) {
+        if (!coordwire::isControl(rec, &verb))
+            ++episodes;
+        else if (verb == "fetched")
+            return episodes;
+    }
+    return -1;
 }
 
 } // namespace
@@ -288,8 +317,8 @@ TEST(Coordinator, SocketCampaignBitIdenticalAndRedispatchesDeserters)
     // End to end, in process: a coordinator owning a binlog store, a
     // deserting client that takes a range and vanishes (its range must
     // re-dispatch), and two concurrent socket workers running the full
-    // matrix, one of them fanning each range out over two evaluator
-    // threads (concurrent completions into one range sink). The workers'
+    // matrix, one of them fanning each range out over two threads
+    // (concurrent completions into one range sink). The workers'
     // folded stats and the coordinator's store must both be bit-identical
     // to a serial local campaign.
     const std::string store = "/tmp/create_test_coord_e2e.blog";
@@ -512,28 +541,6 @@ TEST(Coordinator, OnceWaitsForAWorkerThatDroppedWithoutBye)
         served = true;
     });
 
-    // Declare the ledger and fetch it until `fetched`; returns the
-    // episodes received.
-    const auto fetchAll = [&](CoordClient& c) -> int {
-        JsonRecord need = coordwire::control("need");
-        need.strings.emplace_back("fp", fp);
-        need.numbers.emplace_back("need", reps);
-        JsonRecord fetch = coordwire::control("fetch");
-        fetch.strings.emplace_back("fp", fp);
-        fetch.numbers.emplace_back("need", reps);
-        if (!c.send(std::vector<JsonRecord>{need, fetch}, &error))
-            return -1;
-        int episodes = 0;
-        JsonRecord rec;
-        std::string verb;
-        while (c.recv(rec, &error)) {
-            if (!coordwire::isControl(rec, &verb))
-                ++episodes;
-            else if (verb == "fetched")
-                return episodes;
-        }
-        return -1;
-    };
     {
         SweepRunner::Options wo;
         wo.connect = "127.0.0.1:" + std::to_string(coord.port());
@@ -544,7 +551,7 @@ TEST(Coordinator, OnceWaitsForAWorkerThatDroppedWithoutBye)
         ASSERT_TRUE(dropped.connect("127.0.0.1", coord.port(),
                                     "dropped:1.1", 3, &error))
             << error;
-        EXPECT_EQ(fetchAll(dropped), reps);
+        EXPECT_EQ(declareAndFetch(dropped, fp, reps, &error), reps);
         dropped.close(); // no bye: the shape of a reset
     } // the worker says bye and leaves: the fleet is empty, all complete
     std::this_thread::sleep_for(std::chrono::milliseconds(300));
@@ -556,11 +563,66 @@ TEST(Coordinator, OnceWaitsForAWorkerThatDroppedWithoutBye)
     ASSERT_TRUE(back.connect("127.0.0.1", coord.port(), "dropped:1.1", 3,
                              &error))
         << error;
-    EXPECT_EQ(fetchAll(back), reps);
+    EXPECT_EQ(declareAndFetch(back, fp, reps, &error), reps);
     EXPECT_TRUE(back.send(coordwire::control("bye"), &error)) << error;
     back.close();
     serve.join();
     EXPECT_EQ(coord.episodesIngested(), reps);
+    removeStoreAnyFormat(store);
+}
+
+TEST(Coordinator, WorkersDeclaringOneLedgerAtDifferentDepths)
+{
+    // The coordinator keeps the deepest need any worker declared for a
+    // ledger and sizes ranges against it. A worker that declared the
+    // same ledger shallower must still land a range reaching past its
+    // own need (here [0, 4) against reps 2) -- and fold only its own
+    // prefix, bit-identical to a serial run.
+    const std::string store = "/tmp/create_test_coord_depths.blog";
+    removeStoreAnyFormat(store);
+    const SweepCell cell = campaignCells(2)[1];
+    const std::string fp = sweepFingerprint(cell);
+
+    Coordinator::Options co;
+    co.storePath = store;
+    co.storeFormat = StoreFormat::Binlog;
+    co.once = true;
+    Coordinator coord(co);
+    std::string error;
+    ASSERT_TRUE(coord.start(&error)) << error;
+    std::thread serve([&] { coord.runLoop(); });
+
+    {
+        // A deeper peer declares need 4 and leaves; the fetch round trip
+        // makes sure the coordinator has taken the declaration first.
+        CoordClient deep;
+        ASSERT_TRUE(deep.connect("127.0.0.1", coord.port(), "deep:1.1", 3,
+                                 &error))
+            << error;
+        EXPECT_EQ(declareAndFetch(deep, fp, 4, &error), 0) << error;
+        EXPECT_TRUE(deep.send(coordwire::control("bye"), &error)) << error;
+        deep.close();
+    }
+
+    TaskStats got;
+    long long executed = 0;
+    {
+        SweepRunner::Options wo;
+        wo.connect = "127.0.0.1:" + std::to_string(coord.port());
+        SweepRunner worker(wo);
+        const std::size_t h = worker.add(cell);
+        worker.run();
+        executed = worker.episodesExecuted();
+        got = worker.stats(h);
+    }
+    serve.join();
+
+    EXPECT_EQ(executed, 4);
+    EXPECT_EQ(coord.episodesIngested(), 4);
+    SweepRunner serial;
+    const std::size_t h = serial.add(cell);
+    serial.run();
+    expectIdentical(serial.stats(h), got);
     removeStoreAnyFormat(store);
 }
 

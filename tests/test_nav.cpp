@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include "core/nav_system.hpp"
-#include "core/parallel_eval.hpp"
 #include "core/platform_registry.hpp"
 #include "env/nav_expert.hpp"
 #include "test_util.hpp"
@@ -248,36 +247,34 @@ TEST(NavSystem, PlannerDecodesGoldPlansClean)
     }
 }
 
-TEST(NavSystem, SerialVs4ThreadsBitIdentical)
-{
-    // Planner-side CREATE point: AD+WR at an aggressive planner voltage,
-    // so fault-injection RNG streams and the rotated planner both matter.
-    CreateConfig cfg = CreateConfig::atVoltage(0.72, 0.90);
-    cfg.anomalyDetection = true;
-    cfg.weightRotation = true;
-    const int reps = 6;
-
-    const TaskStats serial =
-        navSys().evaluate(NavTask::Patrol, cfg, reps);
-    ParallelEvaluator pool(navSys(), /*threads=*/4);
-    const TaskStats parallel =
-        pool.evaluate(static_cast<int>(NavTask::Patrol), cfg, reps);
-    expectIdentical(serial, parallel);
-}
-
 TEST(NavSystem, EvaluateViaSystemThreadsMatchesSerial)
 {
-    CreateConfig cfg = CreateConfig::uniform(5e-4);
-    cfg.anomalyDetection = true;
-    const int reps = 5;
-    navSys().setEvalThreads(1);
-    const TaskStats serial =
-        navSys().evaluate(NavTask::Delivery, cfg, reps);
-    navSys().setEvalThreads(4);
-    const TaskStats parallel =
-        navSys().evaluate(NavTask::Delivery, cfg, reps);
-    navSys().setEvalThreads(1);
-    expectIdentical(serial, parallel);
+    CreateConfig uniformAd = CreateConfig::uniform(5e-4);
+    uniformAd.anomalyDetection = true;
+    // Planner-side CREATE point: AD+WR at an aggressive planner voltage,
+    // so fault-injection RNG streams and the rotated planner both matter.
+    CreateConfig adwr = CreateConfig::atVoltage(0.72, 0.90);
+    adwr.anomalyDetection = true;
+    adwr.weightRotation = true;
+    struct Input
+    {
+        NavTask task;
+        CreateConfig cfg;
+        int reps;
+    };
+    const Input inputs[] = {
+        {NavTask::Delivery, uniformAd, 5},
+        {NavTask::Patrol, adwr, 6},
+    };
+    for (const Input& in : inputs) {
+        navSys().setEvalThreads(1);
+        const TaskStats serial = navSys().evaluate(in.task, in.cfg, in.reps);
+        navSys().setEvalThreads(4);
+        const TaskStats parallel =
+            navSys().evaluate(in.task, in.cfg, in.reps);
+        navSys().setEvalThreads(1);
+        expectIdentical(serial, parallel);
+    }
 }
 
 TEST(NavSystem, CreateRecoversSuccessAtAggressiveVoltage)

@@ -1,14 +1,18 @@
-/** @file Tests for the ParallelEvaluator and the EmbodiedSystem facade:
- *  serial-vs-parallel bit-identity on both platform backends, per-episode
- *  RNG stream isolation, and the generic interface surface. */
+/** @file Tests for the episode fan-out (EmbodiedSystem::runJobs, reached
+ *  through setEvalThreads) and the EmbodiedSystem facade: serial-vs-
+ *  threaded bit-identity on both platform backends, per-episode RNG
+ *  stream isolation over contiguous and shuffled job lists, and the
+ *  generic interface surface. */
 
+#include <algorithm>
+#include <random>
+#include <stdexcept>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/create_system.hpp"
 #include "core/manip_system.hpp"
-#include "core/parallel_eval.hpp"
 #include "test_util.hpp"
 
 using namespace create;
@@ -30,25 +34,42 @@ manipSys()
     return s;
 }
 
+/** evaluate() on `threads` threads, then back to the serial default. */
+TaskStats
+evaluateOn(EmbodiedSystem& sys, int threads, int taskId,
+           const CreateConfig& cfg, int reps)
+{
+    sys.setEvalThreads(threads);
+    const TaskStats s = sys.evaluate(taskId, cfg, reps);
+    sys.setEvalThreads(1);
+    return s;
+}
+
 } // namespace
 
-TEST(ParallelEval, MineSerialVs4ThreadsBitIdentical)
+TEST(ParallelEval, EvaluateViaSystemThreadsMatchesSerial)
 {
     // Injection active so the fault-injection RNG streams matter: the
     // uniform bit-flip model, and the voltage-derived timing-error model.
-    CreateConfig uniform = CreateConfig::uniform(5e-4);
-    uniform.anomalyDetection = true;
-    CreateConfig voltage = CreateConfig::atVoltage(0.72, 0.90);
-    voltage.anomalyDetection = true;
-    const int reps = 6;
-
-    ParallelEvaluator pool(mineSys(), /*threads=*/4);
-    for (const CreateConfig& cfg : {uniform, voltage}) {
-        const TaskStats serial =
-            mineSys().evaluate(MineTask::Wooden, cfg, reps);
-        const TaskStats parallel =
-            pool.evaluate(static_cast<int>(MineTask::Wooden), cfg, reps);
-        expectIdentical(serial, parallel);
+    CreateConfig uniformAd = CreateConfig::uniform(5e-4);
+    uniformAd.anomalyDetection = true;
+    CreateConfig voltageAd = CreateConfig::atVoltage(0.72, 0.90);
+    voltageAd.anomalyDetection = true;
+    struct Input
+    {
+        MineTask task;
+        CreateConfig cfg;
+        int reps;
+    };
+    const Input inputs[] = {
+        {MineTask::Stone, CreateConfig::uniform(5e-4), 5},
+        {MineTask::Wooden, uniformAd, 6},
+        {MineTask::Wooden, voltageAd, 6},
+    };
+    for (const Input& in : inputs) {
+        const int task = static_cast<int>(in.task);
+        expectIdentical(evaluateOn(mineSys(), 1, task, in.cfg, in.reps),
+                        evaluateOn(mineSys(), 4, task, in.cfg, in.reps));
     }
 }
 
@@ -58,59 +79,68 @@ TEST(ParallelEval, ManipSerialVs4ThreadsBitIdentical)
     CreateConfig cfg = CreateConfig::atVoltage(0.72, 0.90);
     cfg.anomalyDetection = true;
     cfg.weightRotation = true;
-    const int reps = 6;
-
-    const TaskStats serial =
-        manipSys().evaluate(ManipTask::Wine, cfg, reps);
-    ParallelEvaluator pool(manipSys(), /*threads=*/4);
-    const TaskStats parallel =
-        pool.evaluate(static_cast<int>(ManipTask::Wine), cfg, reps);
-    expectIdentical(serial, parallel);
-}
-
-TEST(ParallelEval, EvaluateViaSystemThreadsMatchesSerial)
-{
-    CreateConfig cfg = CreateConfig::uniform(5e-4);
-    const int reps = 5;
-    mineSys().setEvalThreads(1);
-    const TaskStats serial = mineSys().evaluate(MineTask::Stone, cfg, reps);
-    mineSys().setEvalThreads(4);
-    const TaskStats parallel = mineSys().evaluate(MineTask::Stone, cfg, reps);
-    mineSys().setEvalThreads(1);
-    expectIdentical(serial, parallel);
+    const int task = static_cast<int>(ManipTask::Wine);
+    expectIdentical(evaluateOn(manipSys(), 1, task, cfg, 6),
+                    evaluateOn(manipSys(), 4, task, cfg, 6));
 }
 
 TEST(ParallelEval, EpisodeRngStreamsAreIsolated)
 {
-    // Every episode must depend only on its own seed: running episode i
-    // alone, in reverse order, or in a 4-thread pool yields the identical
-    // EpisodeResult -- no RNG state leaks between repetitions.
-    CreateConfig cfg = CreateConfig::uniform(5e-4);
-    cfg.anomalyDetection = true;
-    const int reps = 4;
-    const std::uint64_t seed0 = 4242;
+    // Every episode must depend only on its own (task, config, seed):
+    // running it alone, in reverse order, yields the identical
+    // EpisodeResult to running it among others on 4 threads -- no RNG
+    // state leaks between episodes, and results come back in job order.
+    CreateConfig uniform = CreateConfig::uniform(5e-4);
+    uniform.anomalyDetection = true;
+    CreateConfig voltage = CreateConfig::atVoltage(0.72, 0.90);
+    voltage.weightRotation = true;
+    const int wooden = static_cast<int>(MineTask::Wooden);
+    const int stone = static_cast<int>(MineTask::Stone);
 
-    ParallelEvaluator pool(mineSys(), /*threads=*/4);
-    const auto pooled = pool.runEpisodes(static_cast<int>(MineTask::Wooden),
-                                         cfg, reps, seed0);
-    ASSERT_EQ(pooled.size(), static_cast<std::size_t>(reps));
+    // One cell's contiguous seeds, as evaluate() submits them ...
+    std::vector<EpisodeJob> contiguous;
+    for (std::uint64_t seed = 4242; seed < 4246; ++seed)
+        contiguous.push_back({wooden, &uniform, seed});
+    // ... and a shuffled mix of two tasks, two configs and seeds with
+    // gaps, as a campaign wave interleaves its ledgers.
+    std::vector<EpisodeJob> mixed;
+    for (const int task : {wooden, stone})
+        for (const CreateConfig* cfg : {&uniform, &voltage})
+            for (const std::uint64_t seed : {7ull, 4242ull, 90001ull})
+                mixed.push_back({task, cfg, seed});
+    std::shuffle(mixed.begin(), mixed.end(), std::mt19937(14));
 
-    for (int i = reps - 1; i >= 0; --i) {
-        const EpisodeResult solo = mineSys().runEpisode(
-            MineTask::Wooden, seed0 + static_cast<std::uint64_t>(i), cfg);
-        expectIdentical(solo, pooled[static_cast<std::size_t>(i)]);
+    for (const std::vector<EpisodeJob>* jobs : {&contiguous, &mixed}) {
+        const auto threaded = mineSys().runJobs(*jobs, /*threads=*/4);
+        ASSERT_EQ(threaded.size(), jobs->size());
+        for (std::size_t i = jobs->size(); i-- > 0;) {
+            const EpisodeJob& job = (*jobs)[i];
+            SCOPED_TRACE(i);
+            expectIdentical(mineSys().runEpisode(job.taskId, job.seed,
+                                                 *job.cfg),
+                            threaded[i]);
+        }
     }
+}
+
+TEST(ParallelEval, ThreadedJobsMustShareOneWidth)
+{
+    // Freezing is per-width state on the shared models: two widths in one
+    // threaded fan-out would re-freeze under running episodes.
+    const CreateConfig int8 = CreateConfig::clean();
+    CreateConfig int4 = CreateConfig::clean();
+    int4.bits = QuantBits::Int4;
+    const std::vector<EpisodeJob> jobs{{0, &int8, 1}, {0, &int4, 2}};
+    EXPECT_THROW(mineSys().runJobs(jobs, /*threads=*/2),
+                 std::invalid_argument);
 }
 
 TEST(ParallelEval, RepeatedParallelRunsAreDeterministic)
 {
     CreateConfig cfg = CreateConfig::uniform(5e-4);
-    ParallelEvaluator pool(mineSys(), /*threads=*/3);
-    const TaskStats a =
-        pool.evaluate(static_cast<int>(MineTask::Wooden), cfg, 5);
-    const TaskStats b =
-        pool.evaluate(static_cast<int>(MineTask::Wooden), cfg, 5);
-    expectIdentical(a, b);
+    const int task = static_cast<int>(MineTask::Wooden);
+    expectIdentical(evaluateOn(mineSys(), 3, task, cfg, 5),
+                    evaluateOn(mineSys(), 3, task, cfg, 5));
 }
 
 TEST(EmbodiedSystem, GenericInterfaceCoversBothPlatforms)
@@ -138,59 +168,14 @@ TEST(EmbodiedSystem, GenericInterfaceCoversBothPlatforms)
     }
 }
 
-TEST(ParallelEval, ReplicasInheritAgentConfig)
+TEST(ParallelEval, CustomAgentConfigReachesEveryThread)
 {
-    // A customized AgentConfig must carry over to worker replicas, or the
-    // parallel path silently runs different episode limits.
+    // A customized AgentConfig must govern episodes on every thread, or
+    // the threaded path silently runs different episode limits.
     MineSystem sys(/*verbose=*/false);
     sys.agentConfig().subtaskBudget = 120; // non-default
     CreateConfig cfg = CreateConfig::uniform(2e-3);
-    const TaskStats serial = sys.evaluate(MineTask::Wooden, cfg, 4);
-    sys.setEvalThreads(4);
-    const TaskStats parallel = sys.evaluate(MineTask::Wooden, cfg, 4);
-    expectIdentical(serial, parallel);
-}
-
-TEST(EmbodiedSystem, ReplicateIsBitIdentical)
-{
-    CreateConfig cfg = CreateConfig::uniform(5e-4);
-    const auto replica = manipSys().replicate();
-    const EpisodeResult a =
-        manipSys().runEpisode(ManipTask::Button, 777, cfg);
-    const EpisodeResult b =
-        replica->runEpisode(static_cast<int>(ManipTask::Button), 777, cfg);
-    expectIdentical(a, b);
-}
-
-TEST(EmbodiedSystem, ReplicasShareFrozenWeightBuffers)
-{
-    // replicate() must not deep-copy or re-freeze the frozen model set:
-    // every replica sees the prototype's FP32 weight buffers and cached
-    // quantized weights at the same addresses (shared, not rebuilt).
-    CreateConfig cfg = CreateConfig::clean();
-    manipSys().prepare(cfg); // freeze once, serially
-    const auto ra = manipSys().replicate();
-    const auto rb = manipSys().replicate();
-    auto* a = dynamic_cast<ManipSystem*>(ra.get());
-    auto* b = dynamic_cast<ManipSystem*>(rb.get());
-    ASSERT_NE(a, nullptr);
-    ASSERT_NE(b, nullptr);
-
-    nn::Linear& protoHead = manipSys().planner(false).head();
-    ASSERT_TRUE(protoHead.quantState().frozen);
-    for (ManipSystem* replica : {a, b}) {
-        nn::Linear& head = replica->planner(false).head();
-        EXPECT_EQ(head.weight().data(), protoHead.weight().data());
-        EXPECT_EQ(head.quantState().wq.data(),
-                  protoHead.quantState().wq.data());
-        EXPECT_EQ(&replica->controller(), &manipSys().controller());
-    }
-
-    // Same holds for the Minecraft backend.
-    const auto mr = mineSys().replicate();
-    auto* m = dynamic_cast<MineSystem*>(mr.get());
-    ASSERT_NE(m, nullptr);
-    EXPECT_EQ(m->planner(false).head().weight().data(),
-              mineSys().planner(false).head().weight().data());
-    EXPECT_EQ(&m->controller(), &mineSys().controller());
+    const int task = static_cast<int>(MineTask::Wooden);
+    expectIdentical(evaluateOn(sys, 1, task, cfg, 4),
+                    evaluateOn(sys, 4, task, cfg, 4));
 }

@@ -51,36 +51,57 @@ campaignCells(int reps)
 
 TEST(Sweep, ShardedVsSerialBitIdentical)
 {
-    const int reps = 5;
-    const auto cells = campaignCells(reps);
-
-    SweepRunner serial(SweepRunner::Options{});
-    SweepRunner sharded([] {
-        SweepRunner::Options o;
-        o.threads = 4;
-        return o;
-    }());
-    for (const auto& c : cells) {
-        serial.add(c);
-        sharded.add(c);
-    }
-    serial.run();
-    sharded.run();
+    // Inputs: the mixed-platform matrix (two waves), and one jarvis-1
+    // wave whose 12-deep ledger sits beside shallow ones, so the deep
+    // ledger's episodes spread over every thread. Every episode must run
+    // exactly once either way.
+    std::vector<SweepCell> oneWave = campaignCells(2);
+    oneWave.pop_back(); // the manipulation cell would open a second wave
+    oneWave[0].reps = 12;
+    SweepCell shallow = oneWave[0];
+    shallow.taskId = static_cast<int>(MineTask::Stone);
+    shallow.reps = 3;
+    oneWave.push_back(shallow);
+    const std::pair<const char*, std::vector<SweepCell>> inputs[] = {
+        {"two waves", campaignCells(5)},
+        {"one wave with a deep ledger", oneWave},
+    };
 
     // Ground truth: the systems' own (serial) evaluation engine.
     MineSystem mine(false);
     ManipSystem manip("openvla", "octo", false);
-    const TaskStats direct[] = {
-        mine.evaluate(cells[0].taskId, cells[0].cfg, reps),
-        mine.evaluate(cells[1].taskId, cells[1].cfg, reps),
-        manip.evaluate(cells[2].taskId, cells[2].cfg, reps),
-    };
-    for (std::size_t h = 0; h < cells.size(); ++h) {
-        expectIdentical(direct[h], serial.stats(h));
-        expectIdentical(direct[h], sharded.stats(h));
+    for (const auto& [name, cells] : inputs) {
+        SCOPED_TRACE(name);
+        SweepRunner serial(SweepRunner::Options{});
+        SweepRunner sharded([] {
+            SweepRunner::Options o;
+            o.threads = 4;
+            return o;
+        }());
+        long long depth = 0;
+        for (const auto& c : cells) {
+            serial.add(c);
+            sharded.add(c);
+            depth += c.reps;
+        }
+        serial.run();
+        sharded.run();
+
+        for (std::size_t h = 0; h < cells.size(); ++h) {
+            const SweepCell& c = cells[h];
+            EmbodiedSystem& ref =
+                c.platform == "jarvis-1" ? static_cast<EmbodiedSystem&>(mine)
+                                         : manip;
+            const TaskStats direct = ref.evaluate(c.taskId, c.cfg, c.reps);
+            expectIdentical(direct, serial.stats(h));
+            expectIdentical(direct, sharded.stats(h));
+        }
+        const int n = static_cast<int>(cells.size());
+        EXPECT_EQ(serial.executedCells(), n);
+        EXPECT_EQ(sharded.executedCells(), n);
+        EXPECT_EQ(serial.episodesExecuted(), depth);
+        EXPECT_EQ(sharded.episodesExecuted(), depth);
     }
-    EXPECT_EQ(serial.executedCells(), 3);
-    EXPECT_EQ(sharded.executedCells(), 3);
 }
 
 TEST(Sweep, MemoizesDuplicateCells)

@@ -1,7 +1,7 @@
 /**
  * @file
  * CTest fixture setup: train-or-load every model the test suites and the
- * parallel evaluator touch, so the deterministic on-disk cache is fully
+ * threaded evaluations touch, so the deterministic on-disk cache is fully
  * populated before `ctest -j` fans the suites out across processes (two
  * processes training the same model would race on the cache file).
  *
