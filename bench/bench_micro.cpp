@@ -33,7 +33,7 @@
 #include "common/serialize.hpp"
 #include "common/store_keys.hpp"
 #include "core/coordinator.hpp"
-#include "core/manip_system.hpp"
+#include "core/plan_system.hpp"
 #include "core/store_backend.hpp"
 #include "fault/injector.hpp"
 #include "hw/faulty_gemm.hpp"

@@ -23,6 +23,11 @@ namespace create {
 
 namespace {
 
+// stop() runs in create-coordinator's signal handler, where only
+// lock-free atomics may be touched.
+static_assert(std::atomic<bool>::is_always_lock_free,
+              "Coordinator::stop() must be async-signal-safe");
+
 /** Steady-clock seconds: every timestamp the coordinator compares is
  *  its own, so wall-clock jumps must not expire assignments. */
 double
@@ -305,7 +310,7 @@ Coordinator::start(std::string* error)
 void
 Coordinator::runLoop()
 {
-    while (!stopping_) {
+    while (!stopping_.load()) {
         std::vector<pollfd> pfds;
         pfds.reserve(conns_.size() + 1);
         pfds.push_back(pollfd{listenFd_, POLLIN, 0});

@@ -54,6 +54,7 @@
  * threads share the work.
  */
 
+#include <atomic>
 #include <map>
 #include <set>
 #include <string>
@@ -165,8 +166,12 @@ class Coordinator
      */
     void runLoop();
 
-    /** Ask runLoop() to finish (safe from another thread). */
-    void stop() { stopping_ = true; }
+    /**
+     * Ask runLoop() to finish within one poll tick (<= 100 ms). Safe
+     * from another thread and from a signal handler: the flag is a
+     * lock-free atomic.
+     */
+    void stop() { stopping_.store(true); }
 
     // Campaign counters (read after runLoop; for tests and the tool's
     // exit summary).
@@ -246,7 +251,7 @@ class Coordinator
     Options opt_;
     int listenFd_ = -1;
     int port_ = 0;
-    volatile bool stopping_ = false;
+    std::atomic<bool> stopping_{false};
     int nextConnId_ = 0;
     std::vector<Conn> conns_;
     std::map<std::string, FpState> fps_;

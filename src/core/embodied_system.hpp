@@ -11,11 +11,11 @@
  * (AD at the circuit level, WR at the model level, VS at the application
  * level) or which baseline protection replaces them (DMR / ThUnderVolt /
  * ABFT, Sec. 6.10). The config is platform-agnostic: the same deployment
- * point drives the Minecraft/JARVIS-1 stack (MineSystem), the
- * cross-platform manipulation stacks (ManipSystem), and the
- * autonomous-navigation stacks (NavSystem), which is exactly how the
- * paper's Fig. 17 generality study treats them. The platform catalogue
- * lives in core/platform_registry.hpp.
+ * point drives the Minecraft/JARVIS-1 stack (MineSystem) and every
+ * decoded-plan family (PlanSystem<F>: the manipulation stacks as
+ * ManipSystem, the autonomous-navigation stacks as NavSystem), which is
+ * exactly how the paper's Fig. 17 generality study treats them. The
+ * platform catalogue lives in core/platform_registry.hpp.
  *
  * evaluate() repeats episodes with deterministic per-episode seeding
  * (seed0 + rep) and aggregates success rate, average steps, effective
@@ -117,7 +117,7 @@ struct EpisodeJob
 /**
  * Platform-generic episode runner + evaluation engine.
  *
- * Concrete backends (MineSystem, ManipSystem, NavSystem) supply the
+ * Concrete backends (MineSystem, PlanSystem<F>) supply the
  * per-episode behavioural simulation over a frozen, shared model set
  * (core/shared_models.hpp); the base class owns repetition, seeding,
  * aggregation, and the fan-out of episodes over threads.

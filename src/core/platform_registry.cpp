@@ -3,8 +3,7 @@
 #include <stdexcept>
 
 #include "core/create_system.hpp"
-#include "core/manip_system.hpp"
-#include "core/nav_system.hpp"
+#include "core/plan_system.hpp"
 #include "perf/workloads.hpp"
 
 namespace create {
@@ -21,14 +20,18 @@ taskIds(std::initializer_list<Task> ts)
     return ids;
 }
 
+/** A pairing of decoded-plan family F, priced by its spec rows. */
+template <class F>
 PlatformInfo
-manipPlatform(const std::string& planner, const std::string& controller,
-              const Workload& plannerW, const Workload& controllerW,
-              std::vector<int> plannerTasks, std::vector<int> controllerTasks)
+planPlatform(const std::string& planner, const std::string& controller,
+             std::vector<int> plannerTasks, std::vector<int> controllerTasks)
 {
+    const Workload plannerW = platforms::plannerSpec<F>(planner).workload();
+    const Workload controllerW =
+        platforms::controllerSpec<F>(controller).workload();
     PlatformInfo p;
     p.name = planner + "+" + controller;
-    p.envFamily = "manipulation";
+    p.envFamily = F::kEnvFamily;
     p.plannerName = plannerW.name;
     p.controllerName = controllerW.name;
     p.plannerGops = plannerW.paperGops;
@@ -36,26 +39,7 @@ manipPlatform(const std::string& planner, const std::string& controller,
     p.plannerTasks = std::move(plannerTasks);
     p.controllerTasks = std::move(controllerTasks);
     p.factory = [planner, controller](bool verbose) {
-        return std::make_unique<ManipSystem>(planner, controller, verbose);
-    };
-    return p;
-}
-
-PlatformInfo
-navPlatform(const std::string& controller, const Workload& controllerW,
-            std::vector<int> plannerTasks, std::vector<int> controllerTasks)
-{
-    PlatformInfo p;
-    p.name = "navllama+" + controller;
-    p.envFamily = "navigation";
-    p.plannerName = workloads::navLlama().name;
-    p.controllerName = controllerW.name;
-    p.plannerGops = workloads::navLlama().paperGops;
-    p.controllerGops = controllerW.paperGops;
-    p.plannerTasks = std::move(plannerTasks);
-    p.controllerTasks = std::move(controllerTasks);
-    p.factory = [controller](bool verbose) {
-        return std::make_unique<NavSystem>("navllama", controller, verbose);
+        return std::make_unique<PlanSystem<F>>(planner, controller, verbose);
     };
     return p;
 }
@@ -83,25 +67,27 @@ PlatformRegistry::PlatformRegistry()
     }
 
     // --- Manipulation family (paper Fig. 17, Table 10) -------------------
-    registerPlatform(manipPlatform(
-        "openvla", "octo", workloads::openVla(), workloads::octo(),
+    using platforms::ManipFamily;
+    registerPlatform(planPlatform<ManipFamily>(
+        "openvla", "octo",
         taskIds({ManipTask::Wine, ManipTask::Alphabet, ManipTask::Bbq}),
         taskIds(
             {ManipTask::Eggplant, ManipTask::Coke, ManipTask::Carrot})));
-    registerPlatform(manipPlatform(
-        "roboflamingo", "rt1", workloads::roboFlamingo(), workloads::rt1(),
+    registerPlatform(planPlatform<ManipFamily>(
+        "roboflamingo", "rt1",
         taskIds({ManipTask::Button, ManipTask::Block, ManipTask::Handle}),
         taskIds({ManipTask::Open, ManipTask::Move, ManipTask::Place})));
 
     // --- Navigation family (third family; NavWorld missions) -------------
-    registerPlatform(navPlatform(
-        "pathrt", workloads::pathRt(),
+    using platforms::NavFamily;
+    registerPlatform(planPlatform<NavFamily>(
+        "navllama", "pathrt",
         taskIds({NavTask::Delivery, NavTask::Patrol, NavTask::Corridor,
                   NavTask::Rooftop}),
         taskIds({NavTask::Inspect, NavTask::Survey, NavTask::Canyon,
                   NavTask::Relay})));
-    registerPlatform(navPlatform(
-        "swiftpilot", workloads::swiftPilot(),
+    registerPlatform(planPlatform<NavFamily>(
+        "navllama", "swiftpilot",
         taskIds({NavTask::Rescue, NavTask::Homebound, NavTask::Canyon,
                   NavTask::Corridor}),
         taskIds({NavTask::Delivery, NavTask::Patrol, NavTask::Relay,

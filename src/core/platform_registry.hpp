@@ -13,8 +13,10 @@
  * examples picked from string literals. Adding a platform meant touching
  * all of them. Now `bench_fig17_cross_platform --platforms a,b,c`,
  * `--list-platforms`, the cross-platform example, and the warm_models
- * CTest fixture all enumerate this registry, so the next platform is one
- * `registerPlatform` call (as NavSystem demonstrates).
+ * CTest fixture all enumerate this registry. A new pairing in an existing
+ * decoded-plan family is a spec row (models/platforms.hpp) plus one
+ * `registerPlatform` call; a new decoded-plan family is one family type
+ * (as NavFamily demonstrates).
  */
 
 #include <deque>

@@ -296,11 +296,9 @@ ModelZoo::mineBcDataset(int seedsPerTask, std::uint64_t seed)
                 while (!world.subtaskComplete() && steps < 300) {
                     const MineObs obs = world.observe();
                     const Action a = MineExpert::act(world, rng);
-                    BcSample sample;
-                    sample.subtask = static_cast<int>(st.type);
-                    sample.spatial = obs.spatial;
-                    sample.state = obs.state;
-                    sample.action = static_cast<int>(a);
+                    const BcSample sample{static_cast<int>(st.type),
+                                          obs.spatial, obs.state,
+                                          static_cast<int>(a)};
                     data.push_back(sample);
                     // Craft/smelt decisions are rare but safety-critical:
                     // oversample so the cloned policy nails them.
@@ -427,32 +425,26 @@ ModelZoo::calibrateMinePredictor(EntropyPredictor& p,
 
 // --- load-or-train entry points -------------------------------------------------
 
-namespace {
-
-bool
-tryLoad(nn::Module& m, const std::string& path)
-{
-    BlobArchive ar;
-    return ar.load(path) && m.load(ar);
-}
-
 void
-saveModel(nn::Module& m, const std::string& path)
+ModelZoo::loadOrTrain(nn::Module& m, const std::string& file,
+                      const std::function<void()>& train)
 {
+    const std::string path = assetsDir() + "/" + file;
     BlobArchive ar;
-    m.save(ar);
-    ar.save(path);
+    if (ar.load(path) && m.load(ar))
+        return;
+    train();
+    BlobArchive out;
+    m.save(out);
+    out.save(path);
 }
-
-} // namespace
 
 std::unique_ptr<PlannerModel>
 ModelZoo::minePlanner(bool verbose)
 {
     Rng rng(0x9111);
     auto m = std::make_unique<PlannerModel>(minePlannerConfig(), rng);
-    const std::string path = assetsDir() + "/mine_planner_v2.bin";
-    if (!tryLoad(*m, path)) {
+    loadOrTrain(*m, "mine_planner_v2.bin", [&] {
         if (verbose)
             std::fprintf(stderr, "[zoo] training Minecraft planner...\n");
         const auto& vocab = PlanVocab::mine();
@@ -472,8 +464,7 @@ ModelZoo::minePlanner(bool verbose)
             }
         }
         trainPlannerOnCorpus(*m, inputs, targets, 150, 2.5e-3, verbose);
-        saveModel(*m, path);
-    }
+    });
     calibrateMinePlanner(*m);
     return m;
 }
@@ -483,8 +474,7 @@ ModelZoo::mineController(bool verbose)
 {
     Rng rng(0x9222);
     auto m = std::make_unique<ControllerModel>(mineControllerConfig(), rng);
-    const std::string path = assetsDir() + "/mine_controller_v2.bin";
-    if (!tryLoad(*m, path)) {
+    loadOrTrain(*m, "mine_controller_v2.bin", [&] {
         if (verbose)
             std::fprintf(stderr, "[zoo] training Minecraft controller "
                                  "(behavior cloning)...\n");
@@ -493,8 +483,7 @@ ModelZoo::mineController(bool verbose)
             std::fprintf(stderr, "[zoo] BC dataset: %zu samples\n",
                          data.size());
         trainControllerBc(*m, std::move(data), 3, 1.5e-3, verbose);
-        saveModel(*m, path);
-    }
+    });
     calibrateMineController(*m);
     return m;
 }
@@ -504,8 +493,7 @@ ModelZoo::minePredictor(ControllerModel& controller, bool verbose)
 {
     Rng rng(0x9333);
     auto p = std::make_unique<EntropyPredictor>(minePredictorConfig(), rng);
-    const std::string path = assetsDir() + "/mine_predictor_v2.bin";
-    if (!tryLoad(*p, path)) {
+    loadOrTrain(*p, "mine_predictor_v2.bin", [&] {
         if (verbose)
             std::fprintf(stderr, "[zoo] training entropy predictor...\n");
         const auto frames = minePredictorFrames(controller, 3, 0x6161);
@@ -513,8 +501,7 @@ ModelZoo::minePredictor(ControllerModel& controller, bool verbose)
             std::fprintf(stderr, "[zoo] predictor dataset: %zu frames\n",
                          frames.size());
         trainPredictor(*p, frames, 30, 1.2e-3, verbose);
-        saveModel(*p, path);
-    }
+    });
     calibrateMinePredictor(*p, controller);
     return p;
 }

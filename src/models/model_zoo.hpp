@@ -20,6 +20,7 @@
  */
 
 #include <array>
+#include <functional>
 #include <memory>
 
 #include "env/mineworld.hpp"
@@ -76,6 +77,14 @@ class ModelZoo
   public:
     /** Weight-cache directory ($CREATE_ASSETS_DIR or ~/.cache/create_repro). */
     static std::string assetsDir();
+
+    /**
+     * Load `m` from assetsDir()/`file`, or run `train` and cache the
+     * trained weights there. Calibration is the caller's (it is not
+     * serialized).
+     */
+    static void loadOrTrain(nn::Module& m, const std::string& file,
+                            const std::function<void()>& train);
 
     static PlannerConfig minePlannerConfig();
     static ControllerConfig mineControllerConfig();

@@ -12,11 +12,15 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
+#include <map>
 #include <random>
 #include <string>
 #include <thread>
@@ -27,7 +31,6 @@
 #include "common/store_keys.hpp"
 #include "core/coordinator.hpp"
 #include "core/create_system.hpp"
-#include "core/manip_system.hpp"
 #include "core/store_diff.hpp"
 #include "core/store_stats.hpp"
 #include "core/sweep.hpp"
@@ -158,6 +161,136 @@ declareAndFetch(CoordClient& c, const std::string& fp, int need,
             return episodes;
     }
     return -1;
+}
+
+/**
+ * One worker of the randomized dispatch property test, on raw
+ * CoordClients with synthetic episode records (nothing executes). It
+ * declares every ledger, then handles each `range` one of three ways:
+ * completes it with its records shuffled and some duplicated; dies
+ * after a random prefix of them, closing without `bye`, and reconnects;
+ * or hangs on it past the range timeout and finishes it later as a
+ * straggler. Once it receives `fin` it lands its remaining stragglers,
+ * fetches every ledger back (a round trip, so the coordinator has read
+ * everything it sent) and says `bye`. Returns false when it never got
+ * `fin`; `fetched` sums what the final fetches returned (-1 each on a
+ * broken connection).
+ */
+bool
+randomizedWorker(int port, const std::string& id,
+                 const std::vector<std::pair<std::string, int>>& ledgers,
+                 double timeoutSeconds, std::uint32_t seed, int& fetched)
+{
+    using Clock = std::chrono::steady_clock;
+    const auto hangFor =
+        std::chrono::milliseconds(static_cast<int>(timeoutSeconds * 1500));
+    std::mt19937 rng(seed);
+    const auto coin = [&rng](int n) {
+        return std::uniform_int_distribution<int>(0, n - 1)(rng);
+    };
+    CoordClient c;
+    std::string error;
+    const auto join = [&] {
+        if (!c.connect("127.0.0.1", port, id, 50, &error))
+            return false;
+        std::vector<JsonRecord> needs;
+        for (const auto& [fp, need] : ledgers) {
+            JsonRecord r = coordwire::control("need");
+            r.strings.emplace_back("fp", fp);
+            r.numbers.emplace_back("need", need);
+            needs.push_back(std::move(r));
+        }
+        return c.send(needs, &error);
+    };
+    // The range's records, shuffled, about a quarter of them twice.
+    const auto episodes = [&](const std::string& fp, int start, int count) {
+        std::vector<JsonRecord> recs;
+        for (int i = start; i < start + count; ++i) {
+            const JsonRecord r = makeRecord(sweepEpisodeKey(fp, i), i);
+            recs.insert(recs.end(), coin(4) == 0 ? 2 : 1, r);
+        }
+        std::shuffle(recs.begin(), recs.end(), rng);
+        return recs;
+    };
+    const auto finish = [&](const std::string& fp, int start, int count) {
+        std::vector<JsonRecord> recs = episodes(fp, start, count);
+        JsonRecord done = coordwire::control("done");
+        done.strings.emplace_back("fp", fp);
+        done.numbers.emplace_back("start", start);
+        done.numbers.emplace_back("count", count);
+        recs.push_back(std::move(done));
+        return c.send(recs, &error);
+    };
+    struct Hung
+    {
+        std::string fp;
+        int start, count;
+        Clock::time_point dueAt;
+    };
+    std::vector<Hung> hung;
+    const auto landStragglers = [&](bool all) {
+        for (auto h = hung.begin(); h != hung.end();) {
+            if (!all && Clock::now() < h->dueAt) {
+                ++h;
+                continue;
+            }
+            if (!finish(h->fp, h->start, h->count))
+                return false;
+            h = hung.erase(h);
+        }
+        return true;
+    };
+
+    if (!join())
+        return false;
+    for (;;) {
+        JsonRecord rec;
+        std::string verb;
+        if (!landStragglers(false) ||
+            !c.send(coordwire::control("req"), &error) ||
+            !c.recv(rec, &error)) {
+            if (!join())
+                return false;
+            continue;
+        }
+        if (!coordwire::isControl(rec, &verb))
+            continue;
+        if (verb == "fin")
+            break;
+        if (verb == "wait") {
+            std::this_thread::sleep_for(std::chrono::milliseconds(
+                static_cast<int>(rec.number("ms"))));
+            continue;
+        }
+        if (verb != "range")
+            continue;
+        const std::string fp = rec.text("fp");
+        const int start = static_cast<int>(rec.number("start"));
+        const int count = static_cast<int>(rec.number("count"));
+        switch (coin(3)) {
+        case 0: // complete
+            finish(fp, start, count);
+            break;
+        case 1: { // killed after a random prefix; reconnects later
+            std::vector<JsonRecord> recs = episodes(fp, start, count);
+            recs.resize(static_cast<std::size_t>(
+                coin(static_cast<int>(recs.size()) + 1)));
+            c.send(recs, &error);
+            c.close();
+            std::this_thread::sleep_for(
+                std::chrono::milliseconds(coin(20)));
+            break;
+        }
+        default: // hung past its timeout, finished later as a straggler
+            hung.push_back({fp, start, count, Clock::now() + hangFor});
+        }
+    }
+    landStragglers(true);
+    fetched = 0;
+    for (const auto& [fp, need] : ledgers)
+        fetched += declareAndFetch(c, fp, need, &error);
+    c.send(coordwire::control("bye"), &error);
+    return true;
 }
 
 } // namespace
@@ -711,4 +844,85 @@ TEST(Coordinator, ResumesFromExistingStoreWithoutReexecution)
     }
     removeStoreAnyFormat(store);
     removeStoreAnyFormat(full);
+}
+
+TEST(Coordinator, RandomizedDispatchEndsExactlyOnce)
+{
+    // The exactly-once property of range dispatch under random kills,
+    // reorders, duplicate deliveries and stragglers: every worker ends
+    // with `fin`, and the coordinator's raw append logs (each log read
+    // on its own, no merge) hold every needed episode exactly once and
+    // no other episode.
+    // Per process: two suites running at once (two build trees) must
+    // not append into one another's store.
+    const std::string store = "/tmp/create_test_coord_random." +
+                              std::to_string(::getpid()) + ".blog";
+    long long redispatched = 0;
+    for (std::uint32_t seed = 1; seed <= 12; ++seed) {
+        SCOPED_TRACE(seed);
+        removeStoreAnyFormat(store);
+        std::mt19937 rng(seed);
+        const auto pick = [&rng](int lo, int hi) {
+            return std::uniform_int_distribution<int>(lo, hi)(rng);
+        };
+        std::vector<std::pair<std::string, int>> ledgers;
+        for (int l = 0; l < 3; ++l)
+            ledgers.emplace_back("v2|random|t" + std::to_string(l) +
+                                     "|cfg" + std::to_string(seed) + "|s0",
+                                 pick(3, 32));
+
+        Coordinator::Options co;
+        co.storePath = store;
+        co.storeFormat = StoreFormat::Binlog;
+        co.rangeEpisodes = pick(1, 8);
+        co.flushEvery = pick(1, 16);
+        co.rangeTimeoutSeconds = 0.2;
+        Coordinator coord(co);
+        std::string error;
+        ASSERT_TRUE(coord.start(&error)) << error;
+        std::thread serve([&] { coord.runLoop(); });
+
+        constexpr int kWorkers = 3;
+        bool gotFin[kWorkers] = {};
+        int fetched[kWorkers] = {};
+        std::vector<std::thread> workers;
+        for (int w = 0; w < kWorkers; ++w) {
+            const std::uint32_t workerSeed = rng();
+            workers.emplace_back([&, w, workerSeed] {
+                gotFin[w] = randomizedWorker(
+                    coord.port(), "random:" + std::to_string(w), ledgers,
+                    co.rangeTimeoutSeconds, workerSeed, fetched[w]);
+            });
+        }
+        for (std::thread& t : workers)
+            t.join();
+        coord.stop();
+        serve.join();
+        redispatched += coord.rangesRedispatched();
+
+        int needTotal = 0;
+        for (const auto& [fp, need] : ledgers)
+            needTotal += need;
+        for (int w = 0; w < kWorkers; ++w) {
+            EXPECT_TRUE(gotFin[w]) << "worker " << w;
+            EXPECT_EQ(fetched[w], needTotal) << "worker " << w;
+        }
+        std::map<std::string, int> appended;
+        for (const auto& entry : std::filesystem::directory_iterator(store)) {
+            std::vector<JsonRecord> recs;
+            ASSERT_TRUE(
+                binlog::readLogRecords(entry.path().string(), recs))
+                << entry.path();
+            for (const JsonRecord& r : recs)
+                if (sweepEpisodeIndex(r.name, nullptr) >= 0)
+                    ++appended[r.name];
+        }
+        EXPECT_EQ(appended.size(), static_cast<std::size_t>(needTotal));
+        for (const auto& [fp, need] : ledgers)
+            for (int i = 0; i < need; ++i)
+                EXPECT_EQ(appended[sweepEpisodeKey(fp, i)], 1)
+                    << sweepEpisodeKey(fp, i);
+    }
+    EXPECT_GT(redispatched, 0); // kills and hangs did re-pool ranges
+    removeStoreAnyFormat(store);
 }

@@ -27,8 +27,7 @@
 #include <gtest/gtest.h>
 
 #include "core/create_system.hpp"
-#include "core/manip_system.hpp"
-#include "core/nav_system.hpp"
+#include "core/plan_system.hpp"
 #include "core/platform_registry.hpp"
 #include "fault/injector.hpp"
 #include "hw/faulty_gemm.hpp"

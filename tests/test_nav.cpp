@@ -1,11 +1,13 @@
 /** @file Tests for the navigation platform family: NavWorld determinism
- *  and dynamics, the A* expert, the PlatformRegistry round-trip, NavSystem
- *  serial-vs-parallel bit-identity, and CREATE protection efficacy on nav
- *  missions at aggressive voltage. */
+ *  and dynamics, the A* expert, the PlatformRegistry round-trip (every
+ *  platform builds, runs, and is priced at the workloads its catalogue
+ *  entry lists), NavSystem (PlanSystem<NavFamily>) serial-vs-parallel
+ *  bit-identity, and CREATE protection efficacy on nav missions at
+ *  aggressive voltage. */
 
 #include <gtest/gtest.h>
 
-#include "core/nav_system.hpp"
+#include "core/plan_system.hpp"
 #include "core/platform_registry.hpp"
 #include "env/nav_expert.hpp"
 #include "test_util.hpp"
@@ -208,13 +210,24 @@ TEST(PlatformRegistry, SelectFiltersAndRejectsUnknown)
 TEST(PlatformRegistry, EveryPlatformConstructsAndRunsOneEpisode)
 {
     // The round-trip that keeps the catalogue honest: each registered
-    // factory must build a working system whose name matches its key and
+    // factory must build a working system whose name matches its key,
+    // whose energy model prices the workloads the catalogue lists, and
     // which runs an episode + a 2-rep evaluation through the facade.
     const auto& reg = PlatformRegistry::instance();
     for (const auto& info : reg.all()) {
         auto sys = reg.make(info.name, /*verbose=*/false);
         ASSERT_NE(sys, nullptr) << info.name;
         EXPECT_STREQ(sys->platformName(), info.name.c_str());
+        const PaperEnergyModel& energy = sys->energyModel();
+        EXPECT_EQ(info.plannerName, energy.plannerWorkload().name)
+            << info.name;
+        EXPECT_EQ(info.controllerName, energy.controllerWorkload().name)
+            << info.name;
+        EXPECT_EQ(info.plannerGops, energy.plannerWorkload().paperGops)
+            << info.name;
+        EXPECT_EQ(info.controllerGops,
+                  energy.controllerWorkload().paperGops)
+            << info.name;
         EXPECT_GT(sys->numTasks(), 0);
         ASSERT_FALSE(info.plannerTasks.empty()) << info.name;
         for (const int t : info.plannerTasks) {
@@ -241,7 +254,8 @@ TEST(NavSystem, PlannerDecodesGoldPlansClean)
     ctx.domain = Domain::Planner;
     for (int t = 0; t < kNumNavTasks; ++t) {
         const auto tokens = navSys().planner(false).inferPlan(t, 0, ctx);
-        const auto plan = platforms::decodeNavPlan(tokens);
+        const auto plan =
+            platforms::decodePlan<platforms::NavFamily>(tokens);
         EXPECT_EQ(plan, navGoldPlan(static_cast<NavTask>(t)))
             << navTaskName(static_cast<NavTask>(t));
     }

@@ -12,7 +12,7 @@
 #include <gtest/gtest.h>
 
 #include "core/create_system.hpp"
-#include "core/manip_system.hpp"
+#include "core/plan_system.hpp"
 #include "test_util.hpp"
 
 using namespace create;

@@ -17,7 +17,7 @@
 #include "common/metrics.hpp"
 #include "common/serialize.hpp"
 #include "core/create_system.hpp"
-#include "core/manip_system.hpp"
+#include "core/plan_system.hpp"
 #include "core/store_diff.hpp"
 #include "core/sweep.hpp"
 #include "env/manipworld.hpp"
