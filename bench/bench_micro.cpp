@@ -77,6 +77,41 @@ BM_Injection(benchmark::State& state)
 }
 BENCHMARK(BM_Injection);
 
+/**
+ * The injection of one injected Mine controller step: one inject() per
+ * GEMM, at TimingErrorModel(0.72) rates. Unlike BM_Injection, it runs
+ * voltage-mode rates and, on the 1 x dim projections and the policy
+ * head, binomial's per-trial n <= 64 branch.
+ */
+void
+BM_InjectControllerStep(benchmark::State& state)
+{
+    const ControllerConfig cfg = ModelZoo::mineControllerConfig();
+    const auto dim = static_cast<std::size_t>(cfg.dim);
+    const std::size_t tokens = 3; // subtask prompt, spatial, state
+    // Spatial and state projections, then per block Q, K, V, O, fc1, fc2,
+    // then the policy head.
+    std::vector<std::size_t> gemmOutputs = {dim, dim};
+    for (int l = 0; l < cfg.layers; ++l)
+        for (const std::size_t width :
+             {dim, dim, dim, dim, static_cast<std::size_t>(cfg.mlpDim), dim})
+            gemmOutputs.push_back(tokens * width);
+    gemmOutputs.push_back(static_cast<std::size_t>(cfg.numActions));
+    const std::vector<double> rates = TimingErrorModel(0.72).bitRates();
+    std::vector<std::int32_t> acc(tokens * static_cast<std::size_t>(cfg.mlpDim),
+                                  12345);
+    Rng rng(1);
+    for (auto _ : state) {
+        for (const std::size_t n : gemmOutputs)
+            BitFlipInjector::inject(acc.data(), n, rates, rng);
+        benchmark::DoNotOptimize(acc.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(gemmOutputs.size()));
+}
+BENCHMARK(BM_InjectControllerStep);
+
 void
 BM_FaultyLinear(benchmark::State& state)
 {

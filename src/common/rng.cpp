@@ -1,7 +1,8 @@
 #include "common/rng.hpp"
 
 #include <cmath>
-#include <unordered_set>
+#include <cstddef>
+#include <cstring>
 
 namespace create {
 
@@ -22,6 +23,38 @@ rotl(std::uint64_t x, int k)
 {
     return (x << k) | (x >> (64 - k));
 }
+
+/**
+ * Memo of Knuth's Poisson limit exp(-mean), direct-mapped on the exact
+ * bits of `mean`. std::exp is a pure function, so a hit returns the very
+ * double a fresh call would. Zero-initialized: key 0 is the bits of +0.0,
+ * which no Knuth mean (always > 0) has, so an empty slot always misses.
+ */
+struct PoissonLimitMemo
+{
+    static constexpr std::size_t kSlots = 128;
+    std::uint64_t keys[kSlots];
+    double limits[kSlots];
+
+    double limit(double mean)
+    {
+        std::uint64_t bits = 0;
+        std::memcpy(&bits, &mean, sizeof bits);
+        // Fibonacci hashing: the top 7 bits of the product pick one of 128
+        // slots, mixing the low mantissa bits that tell nearby means apart.
+        static_assert(kSlots == 128, "slot index takes the top 7 bits");
+        const std::size_t slot = (bits * 0x9E3779B97F4A7C15ull) >> 57;
+        if (keys[slot] != bits) {
+            keys[slot] = bits;
+            limits[slot] = std::exp(-mean);
+        }
+        return limits[slot];
+    }
+};
+
+/** One memo per thread, so Rng stays free of shared state. The injector
+ *  draws with few distinct means: one per (GEMM size, bit rate). */
+thread_local PoissonLimitMemo tPoissonLimits;
 
 } // namespace
 
@@ -124,7 +157,7 @@ Rng::poisson(double mean)
         return 0;
     if (mean < 30.0) {
         // Knuth's multiplication method.
-        const double limit = std::exp(-mean);
+        const double limit = tPoissonLimits.limit(mean);
         double prod = uniform();
         std::uint64_t k = 0;
         while (prod > limit) {
@@ -147,9 +180,12 @@ Rng::binomial(std::uint64_t n, double p)
         return n;
     const double np = static_cast<double>(n) * p;
     if (n <= 64) {
+        // chance(p) per trial, as an integer compare (see the header).
+        const auto threshold =
+            static_cast<std::uint64_t>(std::ceil(p * 0x1.0p53));
         std::uint64_t k = 0;
         for (std::uint64_t i = 0; i < n; ++i)
-            k += chance(p) ? 1 : 0;
+            k += (next() >> 11) < threshold ? 1 : 0;
         return k;
     }
     if (np < 25.0) {
@@ -163,27 +199,6 @@ Rng::binomial(std::uint64_t n, double p)
         return 0;
     const auto k = static_cast<std::uint64_t>(draw + 0.5);
     return k > n ? n : k;
-}
-
-std::vector<std::uint64_t>
-Rng::sampleDistinct(std::uint64_t n, std::uint64_t k)
-{
-    std::vector<std::uint64_t> out;
-    out.reserve(k);
-    if (k >= n) {
-        for (std::uint64_t i = 0; i < n; ++i)
-            out.push_back(i);
-        return out;
-    }
-    // Rejection sampling is fine: injector draws k << n.
-    std::unordered_set<std::uint64_t> seen;
-    seen.reserve(k * 2);
-    while (out.size() < k) {
-        const std::uint64_t idx = below(n);
-        if (seen.insert(idx).second)
-            out.push_back(idx);
-    }
-    return out;
 }
 
 Rng

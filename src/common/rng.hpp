@@ -12,7 +12,6 @@
  */
 
 #include <cstdint>
-#include <vector>
 
 namespace create {
 
@@ -49,18 +48,27 @@ class Rng
     /**
      * Number of successes out of n trials with probability p.
      *
-     * Uses exact per-trial draws for small n, a Poisson approximation when
-     * n*p is small, and a normal approximation otherwise; this is the hot
-     * path of the fault injector where n is (elements x bits) and p is a
-     * bit error rate as low as 1e-10.
+     * This is the hot path of the fault injector, where n is a GEMM's
+     * output count and p a bit error rate as low as 1e-10. Three branches:
+     *  - n <= 64: n exact Bernoulli draws. Each is chance(p), i.e.
+     *    uniform() < p with uniform() = j * 2^-53 for j = next() >> 11.
+     *    Scaling by 2^53 is exact, so the test is the integer compare
+     *    j < ceil(p * 2^53), with the threshold hoisted out of the loop:
+     *    the same n draws and the same outcomes as chance(p).
+     *  - np < 25: poisson(np), which below mean 30 is Knuth's method
+     *    with a memoized limit (see poisson).
+     *  - otherwise: a normal approximation with continuity correction.
      */
     std::uint64_t binomial(std::uint64_t n, double p);
 
-    /** Poisson draw with the given mean (Knuth for small, normal approx for large). */
+    /**
+     * Poisson draw with the given mean: Knuth's multiplication method
+     * below mean 30, a normal approximation above. Knuth's limit
+     * exp(-mean) comes from a small per-thread memo keyed on the exact
+     * bits of `mean`; std::exp is a pure function, so a hit returns the
+     * very double a fresh call would, and the draws are the same.
+     */
     std::uint64_t poisson(double mean);
-
-    /** Sample k distinct indices from [0, n). k must be <= n. */
-    std::vector<std::uint64_t> sampleDistinct(std::uint64_t n, std::uint64_t k);
 
     /** Derive an independent child stream (for parallel-safe substreams). */
     Rng split();

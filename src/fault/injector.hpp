@@ -7,10 +7,24 @@
  * The injector emulates voltage-underscaling timing errors as random bit
  * flips in GEMM/conv accumulation results, exactly as the paper's dynamic
  * PyTorch-based framework does, but at the tensor-runtime level: for each
- * bit position it samples the number of affected elements from a Binomial
- * (Poisson-approximated at low BER) and flips that many uniformly chosen
- * elements. This makes injection O(flips) instead of O(elements x bits),
- * which is what makes >100-episode sweeps at BER 1e-8 tractable.
+ * bit position it samples the number of affected elements k from
+ * Binomial(n, p) and flips k distinct, uniformly chosen elements. This
+ * makes injection O(flips) instead of O(elements x bits), which is what
+ * makes >100-episode sweeps at BER 1e-8 tractable.
+ *
+ * The count comes from Rng::binomial's three branches: exact per-trial
+ * draws for n <= 64 (as integer compares against a hoisted threshold),
+ * Knuth's Poisson method for np < 25, and a normal approximation above.
+ * The Knuth limit exp(-np) comes from Rng's per-thread memo, which
+ * returns the very double std::exp does. The positions are
+ * rejection-sampled with Rng::below, a repeat within one bit being
+ * redrawn; k >= n flips every element in order with no draws. The
+ * dedupe runs on a per-thread array of epoch stamps (one epoch per bit,
+ * so it is never cleared), which accepts and rejects exactly what a set
+ * of the bit's earlier positions would. Once a thread has warmed up,
+ * injection makes no heap allocation, and the random stream, the flipped
+ * bits and the order of positionsOut depend only on the inputs and the
+ * Rng.
  */
 
 #include <cstdint>
@@ -24,8 +38,7 @@ namespace create {
 /** Statistics from one injection pass. */
 struct InjectionStats
 {
-    std::uint64_t flips = 0;          //!< total bits flipped
-    std::uint64_t elementsTouched = 0; //!< elements with >= 1 flip (approx.)
+    std::uint64_t flips = 0; //!< total bits flipped
 };
 
 /** Flips bits in 24-bit accumulators according to an ErrorModel. */

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <set>
 
 #include "common/rng.hpp"
 #include "fault/error_model.hpp"
@@ -176,6 +178,54 @@ TEST(Injector, RecordsPositions)
     for (auto idx : positions) {
         EXPECT_LT(idx, acc.size());
         EXPECT_NE(acc[idx], 1);
+    }
+}
+
+TEST(Injector, PositionsDistinctWithinOneBit)
+{
+    // One flipping bit, so positionsOut holds exactly its positions.
+    for (std::uint64_t seed = 16; seed < 24; ++seed) {
+        std::vector<std::int32_t> acc(100, 0);
+        Rng rng(seed);
+        std::vector<double> rates(kAccumulatorBits, 0.0);
+        rates[9] = 0.3;
+        std::vector<std::size_t> positions;
+        const auto stats = BitFlipInjector::inject(acc.data(), acc.size(),
+                                                   rates, rng, &positions);
+        ASSERT_GT(stats.flips, 0u);
+        ASSERT_LT(stats.flips, acc.size());
+        const std::set<std::size_t> seen(positions.begin(), positions.end());
+        EXPECT_EQ(seen.size(), stats.flips);
+        EXPECT_EQ(positions.size(), stats.flips);
+        for (auto idx : positions) {
+            EXPECT_LT(idx, acc.size());
+            EXPECT_EQ(acc[idx], BitFlipInjector::flipBit(0, 9));
+        }
+    }
+}
+
+TEST(Injector, SaturatedBitFlipsEveryElementOnce)
+{
+    // k >= n: every element, in order, exactly once.
+    for (double p : {0.75, 1.0}) {
+        std::vector<std::int32_t> acc(10, 3);
+        Rng rng(17);
+        std::vector<double> rates(kAccumulatorBits, 0.0);
+        rates[4] = p;
+        std::vector<std::size_t> positions;
+        std::uint64_t flips = 0;
+        // Draw until the bit saturates (always at p = 1).
+        while (flips != acc.size()) {
+            std::fill(acc.begin(), acc.end(), 3);
+            positions.clear();
+            flips = BitFlipInjector::inject(acc.data(), acc.size(), rates, rng,
+                                            &positions)
+                        .flips;
+        }
+        for (std::size_t i = 0; i < acc.size(); ++i) {
+            EXPECT_EQ(positions[i], i);
+            EXPECT_EQ(acc[i], BitFlipInjector::flipBit(3, 4));
+        }
     }
 }
 

@@ -121,23 +121,6 @@ TEST(Rng, PoissonMean)
     }
 }
 
-TEST(Rng, SampleDistinctUnique)
-{
-    Rng r(16);
-    const auto s = r.sampleDistinct(100, 30);
-    std::set<std::uint64_t> seen(s.begin(), s.end());
-    EXPECT_EQ(seen.size(), 30u);
-    for (auto v : s)
-        EXPECT_LT(v, 100u);
-}
-
-TEST(Rng, SampleDistinctAllWhenKEqualsN)
-{
-    Rng r(17);
-    const auto s = r.sampleDistinct(10, 10);
-    EXPECT_EQ(s.size(), 10u);
-}
-
 TEST(Rng, SplitProducesIndependentStream)
 {
     Rng a(18);
