@@ -5,7 +5,10 @@
 #include <mutex>
 #include <random>
 
+#include <fcntl.h>
 #include <unistd.h>
+
+#include "common/io_retry.hpp"
 
 namespace create::chaos {
 namespace {
@@ -94,15 +97,29 @@ void maybeAbortBeforeFlush()
     ::_exit(137);
 }
 
-bool shouldTearWrite()
+bool maybeTearWrite(const std::string& path)
 {
-    return roll(config().tearWrite);
-}
-
-double tearKeepFraction()
-{
-    std::lock_guard<std::mutex> lock(rngMu());
-    return std::uniform_real_distribution<double>(0.05, 0.95)(rng());
+    if (!roll(config().tearWrite))
+        return false;
+    const int fd = path.empty() ? -1 : io::openRetry(path.c_str(), O_RDWR);
+    if (fd < 0)
+        return false;
+    io::FdCloser closeStore(fd);
+    const off_t size = ::lseek(fd, 0, SEEK_END);
+    double keepFraction = 0.0;
+    {
+        std::lock_guard<std::mutex> lock(rngMu());
+        keepFraction =
+            std::uniform_real_distribution<double>(0.05, 0.95)(rng());
+    }
+    const auto keep =
+        static_cast<off_t>(static_cast<double>(size) * keepFraction);
+    if (size <= 0 || ::ftruncate(fd, keep) != 0)
+        return false;
+    std::fprintf(stderr, "[chaos] tore store %s to %lld of %lld bytes\n",
+                 path.c_str(), static_cast<long long>(keep),
+                 static_cast<long long>(size));
+    return true;
 }
 
 bool shouldConnReset()

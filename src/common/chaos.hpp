@@ -59,11 +59,13 @@ const Config& config();
  *  immediately before a store flush. */
 void maybeAbortBeforeFlush();
 
-/** True when the torn-write fault fires for this flush. */
-bool shouldTearWrite();
-
-/** Fraction of the file to keep when tearing, uniform in [0.05, 0.95]. */
-double tearKeepFraction();
+/**
+ * If the torn-write fault fires, truncate `path` to a random fraction
+ * of its size, uniform in [0.05, 0.95], and log it; true when it tore.
+ * Callers place this immediately after a store flush, on the file the
+ * flush landed in.
+ */
+bool maybeTearWrite(const std::string& path);
 
 /** True when the connection-reset fault fires for this wire send. */
 bool shouldConnReset();

@@ -149,8 +149,8 @@ int connectRetry(const std::string& host, int port, int attempts,
         if (attempt > 0)
         {
             int ms = kRetryBaseMs << (attempt - 1 > 10 ? 10 : attempt - 1);
-            if (ms > 2000)
-                ms = 2000; // cap per-sleep so long budgets stay responsive
+            if (ms > kConnectBackoffCapMs)
+                ms = kConnectBackoffCapMs; // long budgets stay responsive
             sleepMs(ms);
         }
         addrinfo hints{};

@@ -33,6 +33,9 @@ namespace create::io {
 constexpr int kRetryAttempts = 5;
 constexpr int kRetryBaseMs = 10;
 
+/** connectRetry's longest sleep between two attempts. */
+constexpr int kConnectBackoffCapMs = 2000;
+
 /** EINTR-safe sleep. */
 void sleepMs(int ms);
 
@@ -71,10 +74,10 @@ bool writeFull(int fd, const void* buf, std::size_t n,
 
 /**
  * TCP-connect to host:port, retrying refusals/unreachables with
- * exponential backoff (base kRetryBaseMs, capped at 2 s per sleep) for
- * up to `attempts` tries — enough for a coordinator restarting
- * mid-campaign when callers raise the budget. Returns the connected fd,
- * or -1 with the resolver/errno detail in `error`.
+ * exponential backoff (base kRetryBaseMs, capped at kConnectBackoffCapMs
+ * per sleep) for up to `attempts` tries — enough for a coordinator
+ * restarting mid-campaign when callers raise the budget. Returns the
+ * connected fd, or -1 with the resolver/errno detail in `error`.
  */
 int connectRetry(const std::string& host, int port,
                  int attempts = kRetryAttempts,

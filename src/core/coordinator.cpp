@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <stdexcept>
@@ -45,6 +46,17 @@ nowSeconds()
  * end of the campaign.
  */
 constexpr double kRejoinGraceSeconds = 2.0;
+
+/**
+ * How long a --once coordinator restarted on a store that a fleet wrote
+ * stays up for that fleet. A worker may be asleep in connectRetry's
+ * backoff for up to io::kConnectBackoffCapMs when the restart starts
+ * listening; without this window the first worker back could finish a
+ * nearly complete campaign, say `bye`, and take the coordinator down
+ * under the rest. Twice the cap leaves a margin.
+ */
+constexpr double kRestartRejoinSeconds =
+    2.0 * io::kConnectBackoffCapMs / 1000.0;
 
 /**
  * The one send primitive of the coordinator wire, shared by both sides
@@ -97,6 +109,15 @@ isControl(const JsonRecord& rec, std::string* verb)
     if (verb)
         *verb = rec.name.substr(n);
     return true;
+}
+
+int
+wireInt(const JsonRecord& rec, const char* key)
+{
+    const double v = rec.number(key, -1.0);
+    if (!(v >= 0.0 && v <= kMaxWireInt) || v != std::floor(v))
+        return -1; // the negated range test rejects NaN too
+    return static_cast<int>(v);
 }
 
 } // namespace coordwire
@@ -236,39 +257,24 @@ Coordinator::start(std::string* error)
             *error = "coordinator requires a store path";
         return false;
     }
-    std::string note;
-    store_ = openStoreBackend(opt_.storePath, opt_.storeFormat,
-                              "coordinator", &note);
-    if (!note.empty())
-        std::fprintf(stderr, "[coord] %s\n", note.c_str());
-    std::vector<JsonRecord> records;
-    StoreLoadInfo sal;
-    if (store_->load(records, &sal, /*quarantineBadTails=*/true)) {
-        if (sal.salvaged)
-            std::fprintf(stderr,
-                         "[coord] store %s is torn: salvaged %zu records "
-                         "(%llu of %llu bytes)\n",
-                         opt_.storePath.c_str(), records.size(),
-                         static_cast<unsigned long long>(sal.goodBytes),
-                         static_cast<unsigned long long>(sal.totalBytes));
-        int schema = 1;
-        for (const JsonRecord& rec : records)
-            if (rec.name == kSweepStoreSchemaRecord)
-                schema = static_cast<int>(rec.number("schema", 1));
-        if (schema > kSweepStoreSchema) {
-            if (error)
-                *error = "store " + opt_.storePath + " has schema " +
-                         std::to_string(schema) +
-                         " (newer than this build's " +
-                         std::to_string(kSweepStoreSchema) +
-                         "); refusing to own it";
-            return false;
-        }
-        for (JsonRecord& rec : records) {
-            std::string name = rec.name;
-            storeRecords_.emplace(std::move(name), std::move(rec));
-        }
+    store_ = std::make_unique<ResultStore>(
+        opt_.storePath, opt_.storeFormat, "coordinator", "coord");
+    if (store_->open() == StoreOpen::FutureSchema) {
+        char why[160];
+        std::snprintf(why, sizeof(why),
+                      " has schema %g (newer than this build's %d); "
+                      "refusing to own it",
+                      store_->schema(), kSweepStoreSchema);
+        if (error)
+            *error = "store " + opt_.storePath + why;
+        return false;
     }
+    // Worker telemetry in the store means an earlier incarnation had a
+    // fleet, which may be reconnecting right now.
+    const auto& view = store_->records();
+    const auto w = view.upper_bound(sweepWorkerKey(""));
+    if (w != view.end() && sweepWorkerId(w->first))
+        rejoinUntil_ = nowSeconds() + kRestartRejoinSeconds;
 
     listenFd_ = ::socket(AF_INET, SOCK_STREAM, 0);
     if (listenFd_ < 0) {
@@ -334,13 +340,13 @@ Coordinator::runLoop()
         }
         const double now = nowSeconds();
         expireAssignments(now);
-        if (!pendingBatch_.empty() && now - lastFlush_ >= 1.0)
-            flushStore(false);
+        if (store_->queued() > 0 && now - lastFlush_ >= 1.0)
+            flushStore();
         if (opt_.once && anyDeclared_ && conns_.empty() && allComplete() &&
             now >= rejoinUntil_)
             break;
     }
-    flushStore(true); // final: telemetry + whatever is pending
+    flushStore(); // final: telemetry + whatever is pending
 }
 
 void
@@ -443,16 +449,19 @@ Coordinator::handleControl(Conn& conn, const std::string& verb,
                          conn.worker.c_str());
     } else if (verb == "need") {
         const std::string fp = rec.text("fp");
-        if (!fp.empty())
-            conn.declared.insert(fp);
-        declareNeed(fp, static_cast<int>(rec.number("need")));
+        const int need = coordwire::wireInt(rec, "need");
+        if (fp.empty() || need < 1)
+            return; // malformed: dropped
+        conn.declared.insert(fp);
+        declareNeed(fp, need);
     } else if (verb == "req") {
         dispatch(conn);
     } else if (verb == "done") {
         const auto it = fps_.find(rec.text("fp"));
         if (it != fps_.end()) {
-            const int start = static_cast<int>(rec.number("start"));
-            const int count = static_cast<int>(rec.number("count"));
+            // A malformed field reads -1, which matches no assignment.
+            const int start = coordwire::wireInt(rec, "start");
+            const int count = coordwire::wireInt(rec, "count");
             auto& as = it->second.assigned;
             for (auto a = as.begin(); a != as.end(); ++a) {
                 if (a->connId != conn.id || a->start != start ||
@@ -470,10 +479,10 @@ Coordinator::handleControl(Conn& conn, const std::string& verb,
             }
             // A `done` for an assignment we already expired is a
             // straggler finishing a re-dispatched range: its episodes
-            // merged idempotently above, nothing else to do.
+            // were dropped as duplicates, nothing else to do.
         }
-        if (!pendingBatch_.empty())
-            flushStore(false); // range boundary: land the batch
+        if (store_->queued() > 0)
+            flushStore(); // range boundary: land the batch
     } else if (verb == "fetch") {
         serveFetch(conn, rec);
     } else if (verb == "bye") {
@@ -502,34 +511,21 @@ Coordinator::ingestRecord(Conn& conn, JsonRecord&& rec)
             ++ws.episodes;
             ws.lastSeen = nowSeconds();
         }
-        // Duplicates (a straggler finishing a re-dispatched range) are
-        // not appended again -- they would bloat an append log -- but
-        // the merged view keeps the latest copy (bit-identical anyway:
-        // episodes are deterministic).
-        if (fresh || storeRecords_.find(rec.name) == storeRecords_.end())
-            pendingBatch_.push_back(rec);
-        const bool nowComplete = it != fps_.end() &&
-                                 it->second.haveCount == it->second.need &&
-                                 !it->second.complete;
-        storeRecords_[rec.name] = std::move(rec);
-        if (nowComplete)
+        if (fresh && it->second.haveCount == it->second.need)
             completeFp(fp, it->second);
-    } else {
-        // Ledger meta (and anything else a worker would have appended
-        // locally): keep it, append it once.
-        if (storeRecords_.find(rec.name) == storeRecords_.end())
-            pendingBatch_.push_back(rec);
-        storeRecords_[rec.name] = std::move(rec);
     }
-    if (static_cast<int>(pendingBatch_.size()) >= opt_.flushEvery)
-        flushStore(false);
+    // Episodes, ledger meta and anything else a worker would have
+    // written locally: the first copy is stored. A straggler's duplicate
+    // episode (bit-identical anyway: episodes are deterministic) or a
+    // reconnect's re-declared meta would only bloat an append log.
+    store_->insert(std::move(rec));
+    if (store_->queued() >= static_cast<std::size_t>(opt_.flushEvery))
+        flushStore();
 }
 
 void
 Coordinator::declareNeed(const std::string& fp, int need)
 {
-    if (fp.empty() || need < 1)
-        return;
     anyDeclared_ = true;
     const auto [it, inserted] = fps_.emplace(fp, FpState{});
     if (inserted)
@@ -546,7 +542,7 @@ Coordinator::declareNeed(const std::string& fp, int need)
     for (int i = 0; i < st.need; ++i) {
         if (st.have[static_cast<std::size_t>(i)])
             continue;
-        if (storeRecords_.count(sweepEpisodeKey(fp, i))) {
+        if (store_->records().count(sweepEpisodeKey(fp, i))) {
             st.have[static_cast<std::size_t>(i)] = 1;
             ++st.haveCount;
         }
@@ -649,11 +645,18 @@ void
 Coordinator::serveFetch(Conn& conn, const JsonRecord& rec)
 {
     const std::string fp = rec.text("fp");
-    const int need = static_cast<int>(rec.number("need"));
+    // Never past the deepest need declared here: the scan runs inside
+    // the single-threaded poll loop.
+    const auto st = fps_.find(fp);
+    const int need = std::min(coordwire::wireInt(rec, "need"),
+                              st == fps_.end() ? 0 : st->second.need);
+    if (need < 0)
+        return; // malformed: dropped
+    const auto& view = store_->records();
     std::string buf;
     for (int i = 0; i < need; ++i) {
-        const auto it = storeRecords_.find(sweepEpisodeKey(fp, i));
-        if (it != storeRecords_.end())
+        const auto it = view.find(sweepEpisodeKey(fp, i));
+        if (it != view.end())
             conn.enc.encodeRecord(it->second, buf);
     }
     JsonRecord done = coordwire::control("fetched");
@@ -762,38 +765,10 @@ Coordinator::completeFp(const std::string& fp, FpState& st)
 }
 
 void
-Coordinator::flushStore(bool force)
+Coordinator::flushStore()
 {
-    if (!store_)
-        return;
-    if (pendingBatch_.empty() && schemaStamped_ && !force)
-        return;
-    if (!schemaStamped_) {
-        JsonRecord schema;
-        schema.name = kSweepStoreSchemaRecord;
-        schema.numbers.emplace_back("schema", kSweepStoreSchema);
-        pendingBatch_.push_back(schema);
-        storeRecords_[kSweepStoreSchemaRecord] = std::move(schema);
-        schemaStamped_ = true;
-    }
     writeWorkerTelemetry();
-    std::string err;
-    bool ok = false;
-    for (int attempt = 0; attempt < io::kRetryAttempts && !ok; ++attempt) {
-        if (attempt > 0) {
-            std::fprintf(stderr,
-                         "[coord] store write failed (%s); retry %d/%d\n",
-                         err.c_str(), attempt, io::kRetryAttempts - 1);
-            io::sleepMs(io::kRetryBaseMs << (attempt - 1));
-        }
-        ok = store_->flush(storeRecords_, pendingBatch_, &err);
-    }
-    if (!ok)
-        throw std::runtime_error(
-            "cannot write coordinator store " + opt_.storePath + ": " +
-            err + " -- campaign aborted; workers can re-point a restarted "
-            "coordinator at the salvaged store");
-    pendingBatch_.clear();
+    store_->publish();
     lastFlush_ = nowSeconds();
 }
 
@@ -823,8 +798,7 @@ Coordinator::writeWorkerTelemetry()
             r.numbers.emplace_back("rangeP95Ms",
                                    percentile(ws.rangeWallMs, 95.0));
         }
-        pendingBatch_.push_back(r);
-        storeRecords_[r.name] = std::move(r);
+        store_->put(std::move(r));
     }
 }
 

@@ -44,14 +44,22 @@
  * assignment times out after rangeTimeoutSeconds (or is re-pooled at
  * once when its connection drops) and the *still-missing* indices are
  * re-dispatched. Duplicate episodes (a straggler finishing a
- * re-dispatched range) merge idempotently -- episodes are deterministic
- * functions of (fingerprint, index).
+ * re-dispatched range) are dropped: the first copy of every record is
+ * the one stored, in either store format -- and episodes are
+ * deterministic functions of (fingerprint, index) anyway.
  *
- * The coordinator is its store's only writer: it loads the store once at
- * start() and from then on every record arrives on the wire, so flushes
- * take no lock and never re-read the disk. This is the one way a
- * campaign spans processes; within a process, SweepRunner's local
+ * The coordinator is its store's only writer, through the same
+ * ResultStore a local campaign uses (core/store_backend.hpp): it loads
+ * the store once at start() and from then on every record arrives on
+ * the wire, so flushes take no lock and never re-read the disk. It
+ * refuses to start on a store a newer build wrote. This is the one way
+ * a campaign spans processes; within a process, SweepRunner's local
  * threads share the work.
+ *
+ * The coordinator listens on every interface, so every integer either
+ * side reads off the wire (need, start, count, ms) goes through
+ * coordwire::wireInt, and the reader drops a frame with a malformed one
+ * (a worker handed a malformed `wait` waits its 50 ms floor).
  */
 
 #include <atomic>
@@ -77,6 +85,13 @@ JsonRecord control(const std::string& verb);
 
 /** True when `rec` is a control record; optionally yields the verb. */
 bool isControl(const JsonRecord& rec, std::string* verb = nullptr);
+
+/** Largest episode count, episode index or delay (ms) on the wire. */
+constexpr int kMaxWireInt = 1 << 20;
+
+/** Integer field `key` of a wire record, or -1 when it is missing, not
+ *  a whole number, or outside [0, kMaxWireInt]. */
+int wireInt(const JsonRecord& rec, const char* key);
 
 } // namespace coordwire
 
@@ -161,8 +176,9 @@ class Coordinator
      * Serve until stop() (or, with Options::once, until every declared
      * fingerprint is complete and the last worker disconnected; a worker
      * whose connection dropped without `bye` -- a reset, not a clean
-     * exit -- first gets a short grace to reconnect). Runs the poll loop
-     * on the calling thread.
+     * exit -- first gets a short grace to reconnect, and a coordinator
+     * restarted on a store a fleet wrote gives that fleet a grace to
+     * come back). Runs the poll loop on the calling thread.
      */
     void runLoop();
 
@@ -242,7 +258,7 @@ class Coordinator
     void dropConn(std::size_t index, const char* why);
     void expireAssignments(double now);
     void completeFp(const std::string& fp, FpState& st);
-    void flushStore(bool force);
+    void flushStore();
     void writeWorkerTelemetry();
     bool allComplete() const;
     long long remainingUnassigned() const;
@@ -256,14 +272,12 @@ class Coordinator
     std::vector<Conn> conns_;
     std::map<std::string, FpState> fps_;
     std::vector<std::string> fpOrder_; //!< declaration order
-    std::unique_ptr<StoreBackend> store_;
-    std::map<std::string, JsonRecord> storeRecords_;
-    std::vector<JsonRecord> pendingBatch_;
-    bool schemaStamped_ = false;
+    std::unique_ptr<ResultStore> store_; //!< opened by start()
     bool anyDeclared_ = false;
     double lastFlush_ = 0.0;
     /** --once may not exit before this: a worker that dropped without
-     *  `bye` may still be reconnecting. */
+     *  `bye`, or the fleet of a store this coordinator restarted on, may
+     *  still be reconnecting. */
     double rejoinUntil_ = 0.0;
     std::map<std::string, WorkerStats> workers_;
     long long episodesIngested_ = 0;

@@ -13,6 +13,7 @@
 
 #include "common/binlog.hpp"
 #include "common/io_retry.hpp"
+#include "common/store_keys.hpp"
 
 namespace create {
 
@@ -358,6 +359,121 @@ openStoreBackend(const std::string& path, StoreFormat requested,
         return std::make_unique<BinlogStoreBackend>(path, writerTag,
                                                     singleFile);
     return std::make_unique<JsonStoreBackend>(path);
+}
+
+void
+reportStoreSalvage(const char* tag, const std::string& path,
+                   const StoreLoadInfo& info)
+{
+    std::fprintf(stderr,
+                 "[%s] result store %s is truncated or corrupt: salvaged "
+                 "%zu records (%llu of %llu bytes, %zu file%s); bad tail "
+                 "%s%s\n",
+                 tag, path.c_str(), info.records,
+                 static_cast<unsigned long long>(info.goodBytes),
+                 static_cast<unsigned long long>(info.totalBytes),
+                 info.files, info.files == 1 ? "" : "s",
+                 info.quarantined.empty() ? "could not be quarantined"
+                                          : "quarantined to ",
+                 info.quarantined.empty()
+                     ? ""
+                     : info.quarantined.front().c_str());
+}
+
+ResultStore::ResultStore(const std::string& path, StoreFormat requested,
+                         const std::string& writerTag, std::string tag)
+    : tag_(std::move(tag))
+{
+    std::string note;
+    backend_ = openStoreBackend(path, requested, writerTag, &note);
+    if (!note.empty())
+        std::fprintf(stderr, "[%s] %s\n", tag_.c_str(), note.c_str());
+}
+
+StoreOpen
+ResultStore::open()
+{
+    std::vector<JsonRecord> records;
+    StoreLoadInfo info;
+    if (!backend_->load(records, &info, /*quarantineBadTails=*/true))
+        return StoreOpen::Missing;
+    if (info.salvaged && records.empty()) {
+        // Not a record store at all (hand-edited, a foreign tool): no
+        // prefix to salvage. Say so rather than replace it silently --
+        // a resumed campaign re-runs every episode it held.
+        std::fprintf(stderr,
+                     "[%s] cannot parse result store %s; it will be "
+                     "replaced\n",
+                     tag_.c_str(), backend_->path().c_str());
+        return StoreOpen::Unparseable;
+    }
+    if (info.salvaged)
+        reportStoreSalvage(tag_.c_str(), backend_->path(), info);
+    for (JsonRecord& rec : records) {
+        if (rec.name == kSweepStoreSchemaRecord)
+            schema_ = rec.number("schema", 1);
+        std::string name = rec.name;
+        view_.emplace(std::move(name), std::move(rec));
+    }
+    // Every older schema's records load as they are. A newer one (or a
+    // NaN) must not be written: our records under its schema header
+    // would corrupt the store for the build that owns it.
+    return schema_ <= kSweepStoreSchema ? StoreOpen::Loaded
+                                        : StoreOpen::FutureSchema;
+}
+
+void
+ResultStore::put(JsonRecord rec)
+{
+    view_[rec.name] = rec;
+    queue_.push_back(std::move(rec));
+}
+
+void
+ResultStore::insert(JsonRecord rec)
+{
+    if (view_.try_emplace(rec.name, rec).second)
+        queue_.push_back(std::move(rec));
+}
+
+bool
+ResultStore::publish()
+{
+    if (queue_.empty() && !owed_)
+        return false;
+    if (!stamped_) {
+        // An appending backend carries one stamp per process; merge on
+        // read keeps the newest.
+        JsonRecord schema;
+        schema.name = kSweepStoreSchemaRecord;
+        schema.numbers.emplace_back("schema", kSweepStoreSchema);
+        put(std::move(schema));
+        stamped_ = true;
+    }
+    // Bounded backoff over the whole backend flush: a transient
+    // ENOSPC/EIO (log rotation racing us, an NFS blip) resolves within
+    // the budget, a full disk does not. Both backends roll back a
+    // failed flush, so a retry starts clean.
+    std::string err;
+    for (int attempt = 0; attempt < io::kRetryAttempts; ++attempt) {
+        if (attempt > 0) {
+            std::fprintf(stderr,
+                         "[%s] store write failed (%s); retry %d/%d\n",
+                         tag_.c_str(), err.c_str(), attempt,
+                         io::kRetryAttempts - 1);
+            io::sleepMs(io::kRetryBaseMs << (attempt - 1));
+        }
+        if (backend_->flush(view_, queue_, &err)) {
+            queue_.clear();
+            owed_ = false;
+            return true;
+        }
+    }
+    throw std::runtime_error(
+        "cannot write result store " + backend_->path() + ": " + err +
+        " -- campaign aborted; every record up to the last successful "
+        "flush is on disk, and a resumed campaign (or a restarted "
+        "coordinator) runs only the rest");
 }
 
 } // namespace create

@@ -2,9 +2,10 @@
 
 /**
  * @file
- * Storage backends of the SweepRunner result store: one vtable the sweep
- * engine and the store readers (sweep-diff, sweep-stats, sweep-store)
- * talk to, two on-disk formats behind it.
+ * Storage backends of the campaign result store: one vtable that the
+ * store's writer (through ResultStore) and the store readers
+ * (sweep-diff, sweep-stats, sweep-store) talk to, two on-disk formats
+ * behind it.
  *
  *  - **json** (the default, and the interchange/diff/golden format): one
  *    `[ ... ]` array of flat records, rewritten atomically (tmp+rename)
@@ -19,7 +20,11 @@
  *
  * A store has one writer process at a time (a local campaign or the
  * create-coordinator that owns it), so no backend takes a cross-process
- * lock.
+ * lock. Both writers drive their store through one ResultStore (below):
+ * it loads the store once, keeps the merged view, stamps the schema and
+ * publishes with bounded retry. The store tools (sweep-diff,
+ * sweep-stats, sweep-store) and the benchmarks call the backend
+ * directly.
  *
  * Both formats carry the same JsonRecord model and the same store-key
  *  grammar (common/store_keys), and doubles survive both round trips
@@ -67,9 +72,8 @@ struct StoreLoadInfo
 };
 
 /**
- * One result store on disk (see file comment). Not thread-safe: the
- * sweep engine serializes access under its store I/O mutex, tools are
- * single-threaded.
+ * One result store on disk (see file comment). Not thread-safe: its
+ * ResultStore's owner serializes access, tools are single-threaded.
  */
 class StoreBackend
 {
@@ -142,5 +146,105 @@ std::unique_ptr<StoreBackend>
 openStoreBackend(const std::string& path, StoreFormat requested,
                  const std::string& writerTag,
                  std::string* formatNote = nullptr);
+
+/**
+ * Print the one-line stderr report of a load that salvaged a torn
+ * store: how many records survived, how many bytes of how many files,
+ * and where the bad tail was quarantined. `tag` names the reporter
+ * ("sweep", "coord", "store").
+ */
+void reportStoreSalvage(const char* tag, const std::string& path,
+                        const StoreLoadInfo& info);
+
+/** What ResultStore::open found at the store path. */
+enum class StoreOpen
+{
+    Missing,      //!< nothing there yet; the first publish creates it
+    Loaded,       //!< records loaded (a torn tail salvaged and reported)
+    Unparseable,  //!< something is there, but no record parses
+    FutureSchema, //!< written by a newer build: its caller must not write
+};
+
+/**
+ * The single writer of one result store: a local SweepRunner campaign
+ * or the create-coordinator that owns the store. open() loads the store
+ * once into a merged view (one record per name); from then on every
+ * record arrives through put() or insert(), which update the view and
+ * queue the record, and publish() hands the backend both. So a publish
+ * never re-reads the disk, takes no lock, and never drops a loaded
+ * record another campaign wrote. The first publish of the process
+ * stamps the current schema, which upgrades an older store in place.
+ * Not thread-safe: callers serialize access.
+ */
+class ResultStore
+{
+  public:
+    /** Open the store at `path` without loading it (see
+     *  openStoreBackend; a format note goes to stderr). `tag` prefixes
+     *  this store's stderr lines. */
+    ResultStore(const std::string& path, StoreFormat requested,
+                const std::string& writerTag, std::string tag);
+
+    /**
+     * Load the store into the view. Unreadable tails are quarantined
+     * before any publish can rewrite them, and a salvage or an
+     * unparseable store is reported on stderr. Call once.
+     */
+    StoreOpen open();
+
+    /** Schema version of the loaded store (1 when it has no schema
+     *  record). */
+    double schema() const { return schema_; }
+
+    StoreFormat format() const { return backend_->format(); }
+
+    /** The merged view: every loaded record, then every put/insert. */
+    const std::map<std::string, JsonRecord>& records() const
+    {
+        return view_;
+    }
+
+    /** Merge `rec` into the view, replacing a record of its name, and
+     *  queue it for the next publish. */
+    void put(JsonRecord rec);
+
+    /** put() unless the view already holds a record of that name: the
+     *  first copy wins, in the view and on disk alike. */
+    void insert(JsonRecord rec);
+
+    /** Records queued since the last publish. */
+    std::size_t queued() const { return queue_.size(); }
+
+    /**
+     * Write the queue (json: the whole view, rewritten; binlog: the
+     * queue, appended) through one bounded-retry loop. Returns false,
+     * writing nothing, when nothing is queued or owed. Throws
+     * std::runtime_error when the backend still fails after
+     * io::kRetryAttempts tries: the view keeps every record, but the
+     * disk no longer keeps up, and going on would silently void the
+     * crash-durability contract.
+     */
+    bool publish();
+
+    /** The data file the last publish landed in (the chaos tear
+     *  target; empty before the first publish to a binlog store). */
+    std::string lastDataFile() const { return backend_->lastDataFile(); }
+
+    /**
+     * The last publish was damaged after it landed (a torn write): the
+     * next publish writes even with nothing queued, and the backend
+     * heals from the view (json rewrites it, binlog re-appends it once).
+     */
+    void owe() { owed_ = true; }
+
+  private:
+    std::string tag_;
+    std::unique_ptr<StoreBackend> backend_;
+    std::map<std::string, JsonRecord> view_;
+    std::vector<JsonRecord> queue_;
+    double schema_ = 1;
+    bool stamped_ = false; //!< schema record published by this process
+    bool owed_ = false;
+};
 
 } // namespace create

@@ -63,19 +63,7 @@ loadStoreCells(const std::string& path, std::vector<StoreCell>& out,
         // Truncated/torn store: fold the parseable prefix (a campaign
         // killed mid-write still certifies every record that landed);
         // the backend quarantined the bad tails for post-mortem.
-        std::fprintf(stderr,
-                     "[store] %s is truncated or corrupt: salvaged %zu "
-                     "records (%llu of %llu bytes, %zu file%s); bad tail "
-                     "%s%s\n",
-                     path.c_str(), records.size(),
-                     static_cast<unsigned long long>(sal.goodBytes),
-                     static_cast<unsigned long long>(sal.totalBytes),
-                     sal.files, sal.files == 1 ? "" : "s",
-                     sal.quarantined.empty() ? "could not be quarantined"
-                                             : "quarantined to ",
-                     sal.quarantined.empty()
-                         ? ""
-                         : sal.quarantined.front().c_str());
+        reportStoreSalvage("store", path, sal);
     }
 
     // Pass 1: collect episode ledgers (with per-episode owner

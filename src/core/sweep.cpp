@@ -1,6 +1,5 @@
 #include "core/sweep.hpp"
 
-#include <fcntl.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -204,7 +203,7 @@ class SweepRunner::StoreSink : public EpisodeSink
         {
             std::lock_guard<std::mutex> lock(runner_.storeMu_);
             runner_.landEpisodeLocked(*unit.led, slot.index, rec);
-            if (!runner_.opt_.storePath.empty())
+            if (runner_.store_)
                 runner_.pendingRecords_.push_back(episodeToRecord(
                     sweepEpisodeKey(unit.fingerprint, slot.index), rec));
             if (++runner_.flushTick_ >= runner_.opt_.flushEvery) {
@@ -458,100 +457,9 @@ SweepRunner::finalizeGroup(const WorkUnit& unit, bool executedNow)
 }
 
 void
-SweepRunner::loadStore(
-    std::map<std::string, std::map<int, EpisodeRecord>>& eps)
-{
-    // Called from run() before any worker starts (and after any previous
-    // phase's workers joined), so storeRecords_ is safe to fill; the
-    // lock below just documents the storeIoMu_ ownership.
-    std::lock_guard<std::mutex> io(storeIoMu_);
-    StoreBackend* be = ensureBackendLocked();
-    if (!be)
-        return;
-    std::vector<JsonRecord> records;
-    StoreLoadInfo sal;
-    // Backend loads quarantine unreadable tails before anything rewrites
-    // or truncates them (post-mortem evidence survives the heal).
-    if (!be->load(records, &sal, /*quarantineBadTails=*/true))
-        return; // no store yet
-    if (sal.salvaged) {
-        if (records.empty()) {
-            // Not a record store at all (hand-edited, foreign tool): no
-            // prefix to salvage. Don't silently ignore it -- with
-            // --resume this re-runs hours of episodes, and either way
-            // the next flush replaces the file.
-            std::fprintf(stderr,
-                         "[sweep] cannot parse result store %s; %s\n",
-                         opt_.storePath.c_str(),
-                         opt_.resume ? "re-running every cell"
-                                     : "it will be replaced");
-            return;
-        }
-        // Truncated/torn store: keep the longest parseable record prefix
-        // (every episode that landed intact resumes); the bad tails were
-        // quarantined above before the next flush rewrites them.
-        std::fprintf(stderr,
-                     "[sweep] result store %s is truncated or corrupt: "
-                     "salvaged %zu records (%llu of %llu bytes, %zu "
-                     "file%s); bad tail %s%s\n",
-                     opt_.storePath.c_str(), records.size(),
-                     static_cast<unsigned long long>(sal.goodBytes),
-                     static_cast<unsigned long long>(sal.totalBytes),
-                     sal.files, sal.files == 1 ? "" : "s",
-                     sal.quarantined.empty() ? "could not be quarantined"
-                                             : "quarantined to ",
-                     sal.quarantined.empty()
-                         ? ""
-                         : sal.quarantined.front().c_str());
-    }
-
-    // Only the future-schema guard reads the version: every older
-    // schema's episode records load as they are.
-    int schema = 1;
-    for (const JsonRecord& rec : records)
-        if (rec.name == kSweepStoreSchemaRecord)
-            schema = static_cast<int>(rec.number("schema", 1));
-    if (schema > kSweepStoreSchema) {
-        // Rewriting a future-schema store would mix our records under
-        // its (still present) newer schema header and corrupt it for the
-        // build that owns it. Treat it strictly read-only: disable the
-        // store for this campaign (no resume, no flushes).
-        std::fprintf(stderr,
-                     "[sweep] result store %s has schema %d (newer than "
-                     "this build's %d); leaving it untouched -- this "
-                     "campaign runs without a store\n",
-                     opt_.storePath.c_str(), schema, kSweepStoreSchema);
-        opt_.storePath.clear();
-        store_.reset();
-        return;
-    }
-
-    for (JsonRecord& rec : records) {
-        if (opt_.resume && rec.name != kSweepStoreSchemaRecord) {
-            std::string fp;
-            const int idx = sweepEpisodeIndex(rec.name, &fp);
-            if (idx >= 0) {
-                EpisodeRecord er;
-                if (episodeFromRecord(rec, er))
-                    eps[fp][idx] = er;
-                else
-                    std::fprintf(stderr,
-                                 "[sweep] store record %s is missing "
-                                 "episode fields; re-running it\n",
-                                 rec.name.c_str());
-            }
-        }
-        // Keep every record through future flushes, including ones no
-        // declared cell (yet) matches -- a rewrite must never drop
-        // another campaign's results.
-        storeRecords_.emplace(rec.name, std::move(rec));
-    }
-}
-
-void
 SweepRunner::flushStore()
 {
-    if (opt_.storePath.empty())
+    if (!store_)
         return;
     // Chaos injection point: a worker that dies here leaves its pending
     // batch unflushed -- exactly the kill -9 shape --resume gap-fill
@@ -559,134 +467,24 @@ SweepRunner::flushStore()
     chaos::maybeAbortBeforeFlush();
     // Drain the pending batch under storeMu_ (O(batch), so workers
     // streaming episodes never queue behind disk or an O(store) copy),
-    // then merge + write under the separate I/O mutex. A version stamp
-    // drops stale batches when two flushes race: the loser's records are
-    // already merged into storeRecords_, so the winning (newer) write --
-    // and every later one -- carries them; the file on disk only moves
-    // forward.
+    // then publish under the separate I/O mutex. Of two racing flushes,
+    // each publishes whatever is queued when it gets the I/O mutex, so
+    // no batch outlives the flush that drained it. A publish that
+    // throws fails the campaign through the episode worker's error
+    // capture.
     std::vector<JsonRecord> batch;
-    std::uint64_t version = 0;
     {
         std::lock_guard<std::mutex> lock(storeMu_);
         batch.swap(pendingRecords_);
-        version = ++storeVersion_;
     }
     std::lock_guard<std::mutex> io(storeIoMu_);
-    StoreBackend* be = ensureBackendLocked();
-    if (!be)
-        return; // future-schema store disabled the path under io race
-    for (const JsonRecord& rec : batch)
-        storeRecords_[rec.name] = rec;
-    // Records minted on the I/O path since the last flush (ledger meta)
-    // are already merged into storeRecords_ but still owe the disk a
-    // frame when the backend appends.
-    if (!pendingIo_.empty()) {
-        batch.insert(batch.end(),
-                     std::make_move_iterator(pendingIo_.begin()),
-                     std::make_move_iterator(pendingIo_.end()));
-        pendingIo_.clear();
-    }
-    // Skip the write only when a newer flush already reached disk AND we
-    // merged nothing new: a racing newer flush can win the I/O mutex
-    // before our batch is merged, so its file does not contain our
-    // records -- returning then would strand this batch in memory past
-    // the at-most-one-flush-batch kill-durability guarantee.
-    if (version <= storeWritten_ && batch.empty())
-        return;
-    {
-        // Always (re)stamp the current schema: merging into an older
-        // (v2) store upgrades it -- old records stay valid, new episode
-        // records carry the optional v3 fields. Appending backends
-        // publish it once per process (merge-on-read keeps the newest
-        // copy).
-        JsonRecord schema;
-        schema.name = kSweepStoreSchemaRecord;
-        schema.numbers.emplace_back("schema", kSweepStoreSchema);
-        if (!schemaStamped_) {
-            batch.push_back(schema);
-            schemaStamped_ = true;
-        }
-        storeRecords_[kSweepStoreSchemaRecord] = std::move(schema);
-    }
-    std::string error;
-    if (!persistLocked(batch, &error)) {
-        // Loud terminal failure: the records are retained in
-        // storeRecords_, but disk no longer keeps up -- continuing would
-        // silently void the crash-durability contract. The throw
-        // propagates through the episode worker's error capture and
-        // fails the campaign.
-        throw std::runtime_error(
-            "cannot write result store " + opt_.storePath + ": " + error +
-            " -- campaign aborted; completed episodes up to the last "
-            "successful flush are on disk and --resume re-runs the rest");
-    }
-    storeWritten_ = std::max(storeWritten_, version);
-    if (chaos::shouldTearWrite()) {
-        // Chaos injection point: truncate the just-written data file to a
-        // random fraction, simulating a torn write landing on disk. For
-        // the json backend that is the store file itself; for binlog it
-        // is this process's own append log. The in-memory view is
-        // intact, so a later flush heals it -- json by rewriting, binlog
-        // via the writer's checkTail resync; a reader in between (a
-        // post-kill resume) must salvage the parseable prefix.
-        const std::string tearPath = be->lastDataFile();
-        const int fd = tearPath.empty()
-                           ? -1
-                           : io::openRetry(tearPath.c_str(), O_RDWR);
-        if (fd >= 0) {
-            io::FdCloser closeStore(fd);
-            const off_t size = ::lseek(fd, 0, SEEK_END);
-            const off_t keep =
-                static_cast<off_t>(static_cast<double>(size) *
-                                   chaos::tearKeepFraction());
-            if (size > 0 && ::ftruncate(fd, keep) == 0)
-                std::fprintf(stderr,
-                             "[chaos] tore store %s to %lld of %lld "
-                             "bytes\n",
-                             tearPath.c_str(),
-                             static_cast<long long>(keep),
-                             static_cast<long long>(size));
-        }
-        storeWritten_ = 0; // force the next flush to write (heal)
-    }
-}
-
-StoreBackend*
-SweepRunner::ensureBackendLocked()
-{
-    if (!store_ && !opt_.storePath.empty()) {
-        std::string note;
-        store_ = openStoreBackend(opt_.storePath, opt_.storeFormat,
-                                  workerId_, &note);
-        if (!note.empty())
-            std::fprintf(stderr, "[sweep] %s\n", note.c_str());
-    }
-    return store_.get();
-}
-
-bool
-SweepRunner::persistLocked(const std::vector<JsonRecord>& batch,
-                           std::string* error)
-{
-    // Bounded backoff over the whole backend flush (json: tmp-write +
-    // rename; binlog: framed append + fsync-equivalent): a transient
-    // ENOSPC/EIO (log rotation racing us, NFS blip) resolves within the
-    // retry budget; a real full disk does not, and the caller escalates.
-    // Both backends roll back a failed flush, so a retry starts clean.
-    std::string err;
-    for (int attempt = 0; attempt < io::kRetryAttempts; ++attempt) {
-        if (attempt > 0) {
-            std::fprintf(stderr,
-                         "[sweep] store write failed (%s); retry %d/%d\n",
-                         err.c_str(), attempt, io::kRetryAttempts - 1);
-            io::sleepMs(io::kRetryBaseMs << (attempt - 1));
-        }
-        if (store_->flush(storeRecords_, batch, &err))
-            return true;
-    }
-    if (error)
-        *error = err;
-    return false;
+    for (JsonRecord& rec : batch)
+        store_->put(std::move(rec));
+    // Chaos injection point: a torn write landing on disk. The view is
+    // intact, so the owed next publish heals it; a reader in between (a
+    // post-kill resume) must salvage the parseable prefix.
+    if (store_->publish() && chaos::maybeTearWrite(store_->lastDataFile()))
+        store_->owe();
 }
 
 void
@@ -766,17 +564,18 @@ SweepRunner::runConnected(std::vector<WorkUnit>& units)
         if (verb == "fin")
             break;
         if (verb == "wait") {
-            io::sleepMs(std::max(
-                50, static_cast<int>(rec.number("ms", 250.0))));
+            io::sleepMs(std::max(50, coordwire::wireInt(rec, "ms")));
             continue;
         }
         if (verb != "range")
             continue;
         const std::string fp = rec.text("fp");
-        const int start = static_cast<int>(rec.number("start"));
-        const int count = static_cast<int>(rec.number("count"));
+        const int start = coordwire::wireInt(rec, "start");
+        const int count = coordwire::wireInt(rec, "count");
+        if (start < 0 || count < 1)
+            continue; // malformed: dropped
         const auto uit = byFp.find(fp);
-        if (uit == byFp.end() || count < 1) {
+        if (uit == byFp.end()) {
             // A fingerprint this phase did not declare (a fleet running
             // differently-scoped campaigns): let the assignment time out
             // and land on a worker that can run it.
@@ -954,14 +753,24 @@ SweepRunner::run()
         std::fprintf(stderr, "[sweep] --resume without a result store "
                              "(--out) has no effect\n");
 
-    // Load the store on every run() call: campaigns can be phased (add()
-    // more cells after a run, run again: only the new work executes).
-    // Existing records are preserved through flushes even without
-    // --resume (two campaigns can share one store); --resume additionally
-    // seeds the ledgers from them.
-    std::map<std::string, std::map<int, EpisodeRecord>> storedEps;
-    if (!opt_.storePath.empty())
-        loadStore(storedEps);
+    // The store loads once, on the first run(): this runner is its only
+    // writer, so a later phase reads the in-memory view. Existing
+    // records are preserved through flushes even without --resume (two
+    // campaigns can share one store); --resume additionally seeds the
+    // ledgers from them.
+    if (!ran_ && !opt_.storePath.empty()) {
+        store_ = std::make_unique<ResultStore>(
+            opt_.storePath, opt_.storeFormat, workerId_, "sweep");
+        if (store_->open() == StoreOpen::FutureSchema) {
+            std::fprintf(stderr,
+                         "[sweep] result store %s has schema %g (newer "
+                         "than this build's %d); leaving it untouched -- "
+                         "this campaign runs without a store\n",
+                         opt_.storePath.c_str(), store_->schema(),
+                         kSweepStoreSchema);
+            store_.reset();
+        }
+    }
 
     bool phaseHadWork = false;
 
@@ -989,30 +798,33 @@ SweepRunner::run()
     // Seed each group's ledger from the store (prefixes, with holes from
     // a mid-flush kill allowed) and collect the episode ranges it still
     // needs. Fully-covered groups complete without executing anything.
+    // No episode runs yet, so the store needs no lock here.
     std::vector<WorkUnit> units;
     for (const std::string& fp : order) {
         WorkUnit u = std::move(groups.find(fp)->second);
         Ledger& led = ledgers_[fp];
         led.grow(u.need);
-        const auto se = storedEps.find(fp);
-        if (se != storedEps.end()) {
-            for (const auto& [idx, rec] : se->second)
-                if (idx < u.need && !led.have[static_cast<std::size_t>(idx)]) {
-                    led.eps[static_cast<std::size_t>(idx)] = rec;
-                    led.have[static_cast<std::size_t>(idx)] = 1;
+        for (int k = 0; k < u.need; ++k) {
+            const auto i = static_cast<std::size_t>(k);
+            if (!led.have[i] && opt_.resume && store_) {
+                const auto& view = store_->records();
+                const auto it = view.find(sweepEpisodeKey(fp, k));
+                if (it != view.end()) {
+                    led.have[i] = episodeFromRecord(it->second, led.eps[i]);
+                    if (!led.have[i])
+                        std::fprintf(stderr,
+                                     "[sweep] store record %s is missing "
+                                     "episode fields; re-running it\n",
+                                     it->first.c_str());
                 }
-        }
-        for (int k = 0; k < u.need; ++k)
-            if (!led.have[static_cast<std::size_t>(k)])
+            }
+            if (!led.have[i])
                 u.missing.push_back(k);
+        }
         u.remaining = static_cast<int>(u.missing.size());
         u.led = &led;
-        if (!opt_.storePath.empty()) {
-            JsonRecord meta = ledgerMeta(fp, cells_[u.owner].cell);
-            std::lock_guard<std::mutex> lock(storeIoMu_);
-            pendingIo_.push_back(meta); // appended at the next flush
-            storeRecords_[fp] = std::move(meta);
-        }
+        if (store_)
+            store_->put(ledgerMeta(fp, cells_[u.owner].cell));
         if (u.missing.empty()) {
             finalizeGroup(u, /*executedNow=*/false);
             phaseHadWork = true;
@@ -1086,8 +898,7 @@ SweepRunner::run()
         sys.runJobs(jobs, opt_.threads, &sink);
     }
 
-    if (!opt_.storePath.empty())
-        flushStore(); // include resumed/meta records so the store is whole
+    flushStore(); // include resumed/meta records so the store is whole
 
     // Recount from cell state (idempotent across phased runs).
     executed_ = memoized_ = resumed_ = sliced_ = 0;

@@ -33,8 +33,11 @@
  *    binlog: O(batch) appends), so a campaign killed mid-cell resumes
  *    from the surviving episode prefix instead of re-running the cell.
  *    A store has one writer process at a time -- this runner, or the
- *    create-coordinator that owns it -- so flushes take no
- *    cross-process lock and never re-read the disk.
+ *    create-coordinator that owns it -- and both drive it through one
+ *    ResultStore (core/store_backend.hpp): the first run() loads it
+ *    once, and flushes take no cross-process lock and never re-read
+ *    the disk. A newer build's store is left untouched: the campaign
+ *    runs without it.
  *  - One process or a coordinator fleet: a campaign runs on local
  *    threads, or as Options::connect socket workers of a
  *    create-coordinator (core/coordinator.hpp), which owns the store and
@@ -250,15 +253,11 @@ class SweepRunner
     void landEpisodeLocked(Ledger& ledger, int index,
                            const EpisodeRecord& rec);
     void finalizeGroup(const WorkUnit& unit, bool executedNow);
-    void loadStore(std::map<std::string, std::map<int, EpisodeRecord>>& eps);
     void flushStore();
     void progressLine();
     // Connected (coordinator) mode: run dispatched ranges, stream the
     // records back, fetch peers' episodes at the end.
     void runConnected(std::vector<WorkUnit>& units);
-    StoreBackend* ensureBackendLocked();
-    bool persistLocked(const std::vector<JsonRecord>& batch,
-                       std::string* error);
 
     Options opt_;
     bool ran_ = false;
@@ -269,37 +268,17 @@ class SweepRunner
     std::map<std::string, Ledger> ledgers_;
     std::map<std::string, std::unique_ptr<EmbodiedSystem>> systems_;
     /**
-     * Store records by name: everything loaded from disk plus every
-     * flushed episode. Flushes write this merged view, so records
-     * another campaign needs are never dropped by a rewrite. Owned by
-     * the flush path: only touched under storeIoMu_ (or before workers
-     * start).
-     */
-    std::map<std::string, JsonRecord> storeRecords_;
-    /**
      * Episode records completed since the last flush. Workers append
      * here under storeMu_ -- O(batch), never O(store) -- and flushStore
-     * drains it into storeRecords_ under storeIoMu_.
+     * drains it into the store under storeIoMu_.
      */
     std::vector<JsonRecord> pendingRecords_;
-    /**
-     * Records produced on the I/O path since the last flush (ledger meta
-     * stamps written directly into storeRecords_) that appending
-     * backends still owe the disk. Guarded by storeIoMu_; flushStore
-     * folds it into the flush batch. Rewriting backends write the whole
-     * merged view anyway, so for them this is only a should-we-skip
-     * signal.
-     */
-    std::vector<JsonRecord> pendingIo_;
-    /** The storage backend behind storePath (lazily opened; reset when a
-     *  future-schema store disables the store path). */
-    std::unique_ptr<StoreBackend> store_;
-    bool schemaStamped_ = false; //!< schema record appended this process
+    /** The result store behind storePath: opened by the first run(),
+     *  null without one (or when its schema is newer than this build). */
+    std::unique_ptr<ResultStore> store_;
     std::mutex storeMu_;   //!< guards ledgers, cell completion, pending
-    std::mutex storeIoMu_; //!< guards storeRecords_ + the file write
-    std::uint64_t storeVersion_ = 0; //!< bumped per flush batch
-    std::uint64_t storeWritten_ = 0; //!< newest version on disk
-    int flushTick_ = 0;              //!< episodes since the last flush
+    std::mutex storeIoMu_; //!< guards store_'s records + its publish
+    int flushTick_ = 0;    //!< episodes since the last flush
     /** "host:pid.seq": names this runner's binlog append log and, in
      *  connected mode, its coordinator hello and episode `by` stamps. */
     std::string workerId_;

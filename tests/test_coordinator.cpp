@@ -8,10 +8,16 @@
  *  two run() calls on one connection, a --once coordinator outliving
  *  a worker that dropped without `bye`, a worker whose ledger another
  *  worker declared deeper, and resume from an existing store with and
- *  without episode holes (cross-process gap-fill). */
+ *  without episode holes (cross-process gap-fill). Then the store and
+ *  wire edges: a duplicate episode keeps its first copy in either store
+ *  format, a --once coordinator restarted on its fleet's store waits for
+ *  that fleet, and crafted frames with malformed integers are dropped
+ *  on both sides of the wire. */
 
 #include <gtest/gtest.h>
 
+#include <netinet/in.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -20,6 +26,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <map>
 #include <random>
 #include <string>
@@ -27,6 +34,7 @@
 #include <vector>
 
 #include "common/binlog.hpp"
+#include "common/io_retry.hpp"
 #include "common/serialize.hpp"
 #include "common/store_keys.hpp"
 #include "core/coordinator.hpp"
@@ -925,4 +933,263 @@ TEST(Coordinator, RandomizedDispatchEndsExactlyOnce)
     }
     EXPECT_GT(redispatched, 0); // kills and hangs did re-pool ranges
     removeStoreAnyFormat(store);
+}
+
+TEST(Coordinator, DuplicateEpisodeKeepsTheFirstCopyInEitherFormat)
+{
+    // A straggler finishing a re-dispatched range re-sends episodes the
+    // coordinator already stored. The first copy is the one kept: in a
+    // json store's rewritten view exactly as in a binlog store's log.
+    const std::string fp = "v2|dup|t0|cfg|s0";
+    for (const StoreFormat fmt : {StoreFormat::Json, StoreFormat::Binlog}) {
+        SCOPED_TRACE(storeFormatName(fmt));
+        const std::string store =
+            std::string("/tmp/create_test_coord_dup.") + storeFormatName(fmt);
+        removeStoreAnyFormat(store);
+        Coordinator::Options co;
+        co.storePath = store;
+        co.storeFormat = fmt;
+        Coordinator coord(co);
+        std::string error;
+        ASSERT_TRUE(coord.start(&error)) << error;
+        std::thread serve([&] { coord.runLoop(); });
+
+        CoordClient c;
+        ASSERT_TRUE(c.connect("127.0.0.1", coord.port(), "dup:1.1", 3,
+                              &error))
+            << error;
+        std::vector<JsonRecord> copies;
+        for (const char* by : {"first", "straggler"}) {
+            copies.push_back(makeRecord(sweepEpisodeKey(fp, 0), 1.0));
+            copies.back().strings.emplace_back("by", by);
+        }
+        ASSERT_TRUE(c.send(copies, &error)) << error;
+        // The round trip makes sure both copies were ingested.
+        EXPECT_EQ(declareAndFetch(c, fp, 1, &error), 1) << error;
+        EXPECT_TRUE(c.send(coordwire::control("bye"), &error)) << error;
+        c.close();
+        coord.stop();
+        serve.join();
+
+        std::vector<JsonRecord> records;
+        ASSERT_TRUE(openStoreBackend(store, StoreFormat::Json, "reader")
+                        ->load(records, nullptr, false));
+        const auto ep = std::find_if(
+            records.begin(), records.end(), [&](const JsonRecord& r) {
+                return r.name == sweepEpisodeKey(fp, 0);
+            });
+        ASSERT_NE(ep, records.end());
+        EXPECT_EQ(ep->text("by"), "first");
+        removeStoreAnyFormat(store);
+    }
+}
+
+TEST(Coordinator, RestartedOnceCoordinatorWaitsForItsFleet)
+{
+    // A --once coordinator killed near the end of a campaign restarts on
+    // its store with the campaign all but done. Its fleet reconnects one
+    // worker at a time -- the last one may be asleep in connectRetry's
+    // backoff -- so the first worker back finishing the campaign and
+    // saying `bye` must not take the restart down under the rest. The
+    // store's worker telemetry tells the restart it had a fleet.
+    const std::string store = "/tmp/create_test_coord_restart.blog";
+    removeStoreAnyFormat(store);
+    const std::string fp = "v2|restart|t0|cfg|s0";
+    std::string error;
+    Coordinator::Options co;
+    co.storePath = store;
+    co.storeFormat = StoreFormat::Binlog;
+    {
+        // The first incarnation: a worker lands the whole ledger, and
+        // stop() stands in for the kill.
+        Coordinator first(co);
+        ASSERT_TRUE(first.start(&error)) << error;
+        std::thread serve([&] { first.runLoop(); });
+        CoordClient w;
+        ASSERT_TRUE(w.connect("127.0.0.1", first.port(), "a:1.1", 3,
+                              &error))
+            << error;
+        ASSERT_TRUE(w.send({makeRecord(sweepEpisodeKey(fp, 0), 0.0),
+                            makeRecord(sweepEpisodeKey(fp, 1), 1.0)},
+                           &error))
+            << error;
+        EXPECT_EQ(declareAndFetch(w, fp, 2, &error), 2) << error;
+        w.close();
+        first.stop();
+        serve.join();
+    }
+
+    co.once = true;
+    Coordinator coord(co);
+    ASSERT_TRUE(coord.start(&error)) << error;
+    std::atomic<bool> served{false};
+    std::thread serve([&] {
+        coord.runLoop();
+        served = true;
+    });
+    const auto visit = [&](const char* id) {
+        CoordClient c;
+        ASSERT_TRUE(c.connect("127.0.0.1", coord.port(), id, 3, &error))
+            << error;
+        EXPECT_EQ(declareAndFetch(c, fp, 2, &error), 2) << error;
+        EXPECT_TRUE(c.send(coordwire::control("bye"), &error)) << error;
+    };
+    visit("a:1.1");
+    std::this_thread::sleep_for(std::chrono::milliseconds(300));
+    if (served) {
+        serve.join();
+        FAIL() << "the restarted --once coordinator exited under its fleet";
+    }
+    visit("b:1.1");
+    coord.stop();
+    serve.join();
+    removeStoreAnyFormat(store);
+}
+
+TEST(Coordinator, DropsFramesWithMalformedIntegers)
+{
+    // Every integer the coordinator reads off its socket -- which listens
+    // on every interface -- must be checked, not cast: a `need` past the
+    // wire limit would size a have-bitmap that large, and a fetch's
+    // `need` would size a scan inside the single-threaded poll loop.
+    // Malformed frames are dropped; a fetch scans at most the declared
+    // need.
+    const std::string store = "/tmp/create_test_coord_crafted.json";
+    removeStoreAnyFormat(store);
+    const std::string fp = "v2|crafted|t0|cfg|s0";
+    Coordinator::Options co;
+    co.storePath = store;
+    co.storeFormat = StoreFormat::Json;
+    Coordinator coord(co);
+    std::string error;
+    ASSERT_TRUE(coord.start(&error)) << error;
+    std::thread serve([&] { coord.runLoop(); });
+
+    CoordClient c;
+    ASSERT_TRUE(c.connect("127.0.0.1", coord.port(), "crafted:1.1", 3,
+                          &error))
+        << error;
+    const auto frame = [&](const char* verb, double need) {
+        JsonRecord r = coordwire::control(verb);
+        r.strings.emplace_back("fp", fp);
+        r.numbers.emplace_back("need", need);
+        return r;
+    };
+    const auto reply = [&](const JsonRecord& sent) {
+        JsonRecord rec;
+        std::string verb;
+        if (c.send({sent, coordwire::control("req")}, &error) &&
+            c.recv(rec, &error))
+            coordwire::isControl(rec, &verb);
+        return verb;
+    };
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    // Each malformed declaration is dropped: nothing is declared, so the
+    // request that follows it waits instead of getting a range.
+    for (const double bad :
+         {nan, -1.0, 0.0, 2.5, coordwire::kMaxWireInt + 1.0, 1e300})
+        EXPECT_EQ(reply(frame("need", bad)), "wait") << bad;
+    EXPECT_EQ(reply(frame("need", 2)), "range");
+
+    ASSERT_TRUE(c.send({makeRecord(sweepEpisodeKey(fp, 0), 0.0),
+                        makeRecord(sweepEpisodeKey(fp, 1), 1.0),
+                        frame("fetch", nan), frame("fetch", -3),
+                        frame("fetch", coordwire::kMaxWireInt)},
+                       &error))
+        << error;
+    // The two malformed fetches get no reply; the last one gets the two
+    // stored episodes, however deep it asked.
+    int episodes = 0;
+    JsonRecord rec;
+    std::string verb;
+    while (c.recv(rec, &error) && !coordwire::isControl(rec, &verb))
+        ++episodes;
+    EXPECT_EQ(verb, "fetched");
+    EXPECT_EQ(episodes, 2);
+    EXPECT_EQ(reply(coordwire::control("bye")), "fin"); // nothing else queued
+    c.close();
+    coord.stop();
+    serve.join();
+    removeStoreAnyFormat(store);
+}
+
+TEST(Coordinator, WorkerDropsMalformedRanges)
+{
+    // The worker side of the same check, against a scripted coordinator:
+    // a range starting before the ledger would land its episodes out of
+    // bounds, and NaN or absurd fields are undefined to cast. The worker
+    // drops each one and runs only the well-formed range.
+    const SweepCell cell = campaignCells(2)[1];
+    const std::string fp = sweepFingerprint(cell);
+    const int lfd = ::socket(AF_INET, SOCK_STREAM, 0);
+    ASSERT_GE(lfd, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    socklen_t len = sizeof(addr);
+    ASSERT_EQ(::bind(lfd, reinterpret_cast<sockaddr*>(&addr), len), 0);
+    ASSERT_EQ(::listen(lfd, 1), 0);
+    ASSERT_EQ(::getsockname(lfd, reinterpret_cast<sockaddr*>(&addr), &len),
+              0);
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const auto range = [&](double start, double count) {
+        JsonRecord r = coordwire::control("range");
+        r.strings.emplace_back("fp", fp);
+        r.numbers.emplace_back("start", start);
+        r.numbers.emplace_back("count", count);
+        return r;
+    };
+    JsonRecord badWait = coordwire::control("wait");
+    badWait.numbers.emplace_back("ms", nan);
+    // The n-th `req` gets replies[n]; the last one repeats.
+    const std::vector<JsonRecord> replies = {
+        range(-2, 2),  range(nan, 2),  range(0, nan), range(0, 1e300),
+        range(0.5, 1), badWait,        range(0, 2),
+        coordwire::control("fin")};
+    std::vector<std::pair<double, double>> done;
+    std::thread fake([&] {
+        const int fd = ::accept(lfd, nullptr, nullptr);
+        if (fd < 0)
+            return;
+        std::string out;
+        binlog::FrameEncoder::encodeHeader(out);
+        binlog::FrameEncoder enc;
+        binlog::StreamDecoder dec;
+        std::size_t next = 0;
+        char buf[65536];
+        for (bool open = io::writeFull(fd, out.data(), out.size()); open;) {
+            const ssize_t n = ::read(fd, buf, sizeof(buf));
+            open = n > 0 && dec.feed(buf, static_cast<std::size_t>(n));
+            JsonRecord rec;
+            std::string verb;
+            while (open && dec.pop(rec)) {
+                if (!coordwire::isControl(rec, &verb))
+                    continue;
+                if (verb == "done")
+                    done.emplace_back(rec.number("start"),
+                                      rec.number("count"));
+                if (verb != "req")
+                    continue;
+                out.clear();
+                enc.encodeRecord(
+                    replies[std::min(next++, replies.size() - 1)], out);
+                open = io::writeFull(fd, out.data(), out.size());
+            }
+        }
+        ::close(fd);
+    });
+    long long executed = 0;
+    {
+        SweepRunner::Options wo;
+        wo.connect = "127.0.0.1:" + std::to_string(ntohs(addr.sin_port));
+        SweepRunner worker(wo);
+        worker.add(cell);
+        worker.run();
+        executed = worker.episodesExecuted();
+    } // bye, and the connection closes: the scripted coordinator returns
+    fake.join();
+    ::close(lfd);
+    EXPECT_EQ(executed, 2);
+    ASSERT_EQ(done.size(), 1u);
+    EXPECT_EQ(done[0], std::make_pair(0.0, 2.0));
 }

@@ -3,12 +3,16 @@
  *  salvage at every byte offset, corrupted-frame quarantine, the writer's
  *  external-truncation heal, json <-> binlog conversion byte-identity,
  *  per-writer shard-log merging with the lease generation rule, and
- *  format autodetection. */
+ *  format autodetection. Then the ResultStore contract both store
+ *  writers rely on: each open verdict, salvage with quarantine in both
+ *  formats, one schema stamp per process, no write without a queue, an
+ *  owed write healing a tear, and a throw after the retry budget. */
 
 #include <gtest/gtest.h>
 
 #include <sys/stat.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -17,6 +21,7 @@
 #include <vector>
 
 #include "common/binlog.hpp"
+#include "common/io_retry.hpp"
 #include "common/serialize.hpp"
 #include "common/store_keys.hpp"
 #include "core/store_backend.hpp"
@@ -440,4 +445,164 @@ TEST(StoreBackend, DetectsFormatsAndHonorsExistingStore)
     removeStore(jsonPath);
     removeStore(dirPath);
     removeStore(filePath);
+}
+
+TEST(ResultStore, OpenReturnsEachVerdict)
+{
+    const std::string missing = "/tmp/create_test_rs_missing.json";
+    const std::string loaded = "/tmp/create_test_rs_loaded.json";
+    const std::string garbage = "/tmp/create_test_rs_garbage.json";
+    const std::string future = "/tmp/create_test_rs_future.json";
+    for (const std::string& p : {missing, loaded, garbage, future})
+        removeStore(p);
+    EXPECT_EQ(ResultStore(missing, StoreFormat::Json, "t", "test").open(),
+              StoreOpen::Missing);
+
+    ASSERT_TRUE(writeJsonRecords(loaded,
+                                 std::vector<JsonRecord>{makeRecord("a", 0)}));
+    ResultStore old(loaded, StoreFormat::Json, "t", "test");
+    EXPECT_EQ(old.open(), StoreOpen::Loaded);
+    EXPECT_EQ(old.records().size(), 1u);
+    EXPECT_EQ(old.schema(), 1.0); // no schema record: the oldest schema
+
+    spew(garbage, "not a result store\n");
+    EXPECT_EQ(ResultStore(garbage, StoreFormat::Json, "t", "test").open(),
+              StoreOpen::Unparseable);
+
+    JsonRecord schema;
+    schema.name = kSweepStoreSchemaRecord;
+    schema.numbers.emplace_back("schema", kSweepStoreSchema + 1);
+    ASSERT_TRUE(writeJsonRecords(
+        future, std::vector<JsonRecord>{schema, makeRecord("a", 0)}));
+    ResultStore newer(future, StoreFormat::Json, "t", "test");
+    EXPECT_EQ(newer.open(), StoreOpen::FutureSchema);
+    EXPECT_EQ(newer.schema(), kSweepStoreSchema + 1.0);
+    for (const std::string& p : {missing, loaded, garbage, future})
+        removeStore(p);
+}
+
+TEST(ResultStore, TornStoreSalvagesItsPrefixAndQuarantinesTheTail)
+{
+    const std::string fp = "v2|jarvis-1|t6|cfg|s0";
+    for (const StoreFormat fmt : {StoreFormat::Json, StoreFormat::Binlog}) {
+        SCOPED_TRACE(storeFormatName(fmt));
+        const std::string path =
+            std::string("/tmp/create_test_rs_torn.") + storeFormatName(fmt);
+        removeStore(path);
+        std::map<std::string, JsonRecord> written;
+        std::string dataFile;
+        {
+            ResultStore w(path, fmt, "w1", "test");
+            ASSERT_EQ(w.open(), StoreOpen::Missing);
+            for (int i = 0; i < 6; ++i)
+                w.put(makeRecord(sweepEpisodeKey(fp, i), 0.5 * i));
+            ASSERT_TRUE(w.publish());
+            written = w.records();
+            dataFile = w.lastDataFile();
+        }
+        ASSERT_EQ(written.size(), 7u); // six episodes and the schema
+        const std::string bytes = slurp(dataFile);
+        const std::string torn = bytes.substr(0, bytes.size() * 2 / 3);
+        spew(dataFile, torn);
+
+        ResultStore r(path, fmt, "w2", "test");
+        ASSERT_EQ(r.open(), StoreOpen::Loaded);
+        EXPECT_GT(r.records().size(), 0u);
+        EXPECT_LT(r.records().size(), written.size());
+        for (const auto& [name, rec] : r.records())
+            expectRecordsEqual(written.at(name), rec);
+        const std::string q = slurp(dataFile + ".quarantine");
+        ASSERT_FALSE(q.empty());
+        EXPECT_EQ(torn.compare(torn.size() - q.size(), q.size(), q), 0)
+            << "the quarantine is not the torn file's tail";
+        removeStore(path);
+        removeStore(path + ".quarantine");
+    }
+}
+
+TEST(ResultStore, StampsTheSchemaOncePerProcess)
+{
+    const std::string dir = "/tmp/create_test_rs_stamp";
+    removeStore(dir);
+    ResultStore s(dir, StoreFormat::Binlog, "w1", "test");
+    ASSERT_EQ(s.open(), StoreOpen::Missing);
+    for (int i = 0; i < 3; ++i) {
+        s.put(makeRecord(sweepEpisodeKey("v2|jarvis-1|t7|cfg|s0", i), i));
+        ASSERT_TRUE(s.publish());
+    }
+    std::vector<JsonRecord> frames;
+    ASSERT_TRUE(binlog::readLogRecords(s.lastDataFile(), frames));
+    EXPECT_EQ(frames.size(), 4u);
+    EXPECT_EQ(std::count_if(frames.begin(), frames.end(),
+                            [](const JsonRecord& r) {
+                                return r.name == kSweepStoreSchemaRecord;
+                            }),
+              1);
+    removeStore(dir);
+}
+
+TEST(ResultStore, PublishWithNothingQueuedWritesNothing)
+{
+    for (const StoreFormat fmt : {StoreFormat::Json, StoreFormat::Binlog}) {
+        SCOPED_TRACE(storeFormatName(fmt));
+        const std::string path =
+            std::string("/tmp/create_test_rs_idle.") + storeFormatName(fmt);
+        removeStore(path);
+        ResultStore s(path, fmt, "w1", "test");
+        ASSERT_EQ(s.open(), StoreOpen::Missing);
+        EXPECT_FALSE(s.publish());
+        StoreFormat found = fmt;
+        EXPECT_FALSE(detectStoreFormat(path, found)) << "store created";
+        s.put(makeRecord("a", 0));
+        ASSERT_TRUE(s.publish());
+        // A json publish is a tmp+rename rewrite, which would replace
+        // the inode; a binlog one would grow the log.
+        struct stat before;
+        ASSERT_EQ(::stat(s.lastDataFile().c_str(), &before), 0);
+        EXPECT_FALSE(s.publish());
+        struct stat after;
+        ASSERT_EQ(::stat(s.lastDataFile().c_str(), &after), 0);
+        EXPECT_EQ(before.st_ino, after.st_ino);
+        EXPECT_EQ(before.st_size, after.st_size);
+        removeStore(path);
+    }
+}
+
+TEST(ResultStore, OwedPublishHealsATornJsonStore)
+{
+    const std::string path = "/tmp/create_test_rs_owed.json";
+    removeStore(path);
+    ResultStore s(path, StoreFormat::Json, "w1", "test");
+    ASSERT_EQ(s.open(), StoreOpen::Missing);
+    for (int i = 0; i < 4; ++i)
+        s.put(makeRecord(sweepEpisodeKey("v2|jarvis-1|t8|cfg|s0", i), i));
+    ASSERT_TRUE(s.publish());
+    const std::string whole = slurp(path);
+    spew(path, whole.substr(0, whole.size() / 2));
+    EXPECT_FALSE(s.publish()); // nothing queued or owed: the tear stays
+    EXPECT_NE(slurp(path), whole);
+    s.owe();
+    EXPECT_TRUE(s.publish());
+    EXPECT_EQ(slurp(path), whole);
+    removeStore(path);
+}
+
+TEST(ResultStore, ThrowsWhenTheBackendKeepsFailing)
+{
+    // The parent directory does not exist, so every flush fails.
+    const std::string dir = "/tmp/create_test_rs_no_such_dir";
+    removeStore(dir);
+    ResultStore s(dir + "/store.json", StoreFormat::Json, "w1", "test");
+    ASSERT_EQ(s.open(), StoreOpen::Missing);
+    s.put(makeRecord("a", 0));
+    testing::internal::CaptureStderr();
+    EXPECT_THROW(s.publish(), std::runtime_error);
+    const std::string log = testing::internal::GetCapturedStderr();
+    // One line per retry after the first try.
+    int retries = 0;
+    for (std::size_t at = log.find("store write failed");
+         at != std::string::npos;
+         at = log.find("store write failed", at + 1))
+        ++retries;
+    EXPECT_EQ(retries, io::kRetryAttempts - 1) << log;
 }

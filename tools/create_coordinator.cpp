@@ -69,7 +69,9 @@ usage(std::FILE* to)
         "  --once                exit once every declared ledger is\n"
         "                        complete and the fleet disconnected\n"
         "                        (2 s later if a worker dropped\n"
-        "                        without saying goodbye)\n"
+        "                        without saying goodbye; at least 4 s\n"
+        "                        after a restart on a store a fleet\n"
+        "                        wrote)\n"
         "  --verbose             per-range dispatch log on stderr\n");
 }
 
