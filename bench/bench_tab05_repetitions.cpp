@@ -23,8 +23,8 @@ main(int argc, char** argv)
     const int maxReps = opt.reps;
 
     // Paper setting: wooden task, BER 1e-7 on the controller. On this
-    // substrate the equivalent mild stressor is 1e-3 (see EXPERIMENTS.md
-    // on the BER axis shift).
+    // substrate the equivalent mild stressor is 1e-3 (see the BER-axis
+    // note under README "Substitutions").
     CreateConfig cfg = CreateConfig::uniform(1e-3);
     cfg.injectPlanner = false;
 

@@ -11,9 +11,9 @@
  * --out (resumable episode-ledger store), --resume, --connect host:port
  * (socket workers of a create-coordinator campaign: the one way to
  * spread a campaign over processes), --progress, and --flush-every. A
- * note on axes: see EXPERIMENTS.md for why the BER axis of the small
- * stand-in models sits a few orders above the paper's (flips per
- * inference is the invariant, not BER).
+ * note on axes: see the BER-axis note under README "Substitutions" for
+ * why the BER axis of the small stand-in models sits a few orders above
+ * the paper's (flips per inference is the invariant, not BER).
  */
 
 #include <cstdio>

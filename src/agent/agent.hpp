@@ -8,9 +8,9 @@
  * controller produces action logits each step and actions are sampled
  * from them. If a subtask exceeds its step budget the planner is
  * re-invoked with the current progress (the paper's 600-step re-planning
- * rule; scaled here to 200 with the world, DESIGN.md substitution #2).
+ * rule; scaled here to 240 with the world, README "Substitutions" #2).
  * The episode fails when the total step cap is exceeded (paper: 12,000;
- * here 2,000).
+ * here 2,400).
  *
  * The planner and controller run under separate ComputeContexts so they
  * can sit at different operating voltages (CREATE applies AD+WR to the

@@ -66,46 +66,6 @@ bool renameRetry(const char* from, const char* to, std::string* error)
     return false;
 }
 
-int readFull(int fd, void* buf, std::size_t n, std::string* error)
-{
-    auto* p = static_cast<char*>(buf);
-    std::size_t got = 0;
-    int backoff = 0;
-    while (got < n)
-    {
-        const ssize_t r = ::read(fd, p + got, n - got);
-        if (r > 0)
-        {
-            got += static_cast<std::size_t>(r);
-            backoff = 0; // progress resets the budget
-            continue;
-        }
-        if (r == 0)
-        {
-            if (got == 0)
-                return 0; // clean EOF at a message boundary
-            if (error)
-                *error = "read: stream cut after " + std::to_string(got) +
-                         " of " + std::to_string(n) + " bytes";
-            return -1;
-        }
-        if (errno == EINTR)
-            continue;
-        if ((errno == EAGAIN || errno == EWOULDBLOCK) &&
-            backoff < kRetryAttempts)
-        {
-            sleepMs(kRetryBaseMs << backoff++);
-            continue;
-        }
-        if (error)
-            *error = std::string("read: ") + std::strerror(errno) +
-                     " (after " + std::to_string(got) + " of " +
-                     std::to_string(n) + " bytes)";
-        return -1;
-    }
-    return 1;
-}
-
 bool writeFull(int fd, const void* buf, std::size_t n, std::string* error)
 {
     const auto* p = static_cast<const char*>(buf);

@@ -14,12 +14,12 @@
  * intact so the caller can fail the campaign loudly instead of silently
  * dropping a flush batch.
  *
- * The socket half (readFull/writeFull/connectRetry) extends the same
- * discipline to the campaign coordinator's wire: partial reads/writes
- * loop, EINTR never counts against the budget, EAGAIN on a blocking
- * socket (SO_RCVTIMEO/SO_SNDTIMEO) gets the bounded backoff, and a
- * give-up surfaces the errno detail loudly instead of a silent short
- * transfer.
+ * The socket half (writeFull/connectRetry) extends the same discipline
+ * to the campaign coordinator's wire: partial writes loop, EINTR never
+ * counts against the budget, EAGAIN on a blocking socket (SO_SNDTIMEO)
+ * gets the bounded backoff, and a give-up surfaces the errno detail
+ * loudly instead of a silent short transfer. (Reads go through
+ * binlog::StreamDecoder, which buffers whatever arrives.)
  */
 
 #include <cstddef>
@@ -52,16 +52,6 @@ std::FILE* fopenRetry(const char* path, const char* mode);
  */
 bool renameRetry(const char* from, const char* to,
                  std::string* error = nullptr);
-
-/**
- * read(2) exactly `n` bytes into `buf`. Partial reads loop; EINTR is
- * free; EAGAIN/EWOULDBLOCK consumes the bounded backoff budget. Returns
- * 1 when all `n` bytes landed, 0 on clean EOF *before the first byte*
- * (a peer that closed between messages), and -1 on error or a stream
- * cut mid-buffer, with the errno/short-read detail in `error`.
- */
-int readFull(int fd, void* buf, std::size_t n,
-             std::string* error = nullptr);
 
 /**
  * write(2) all `n` bytes of `buf`. Partial writes loop; EINTR is free;

@@ -3,23 +3,18 @@
 /**
  * @file
  * The socket campaign coordinator: episode-range dispatch over binlog
- * frames, no shared filesystem required.
+ * frames, no shared filesystem required -- the one way a campaign spans
+ * processes (within a process, SweepRunner's local threads share the
+ * work).
  *
- * One lightweight single-threaded poll() process owns the campaign
- * store, serves pending *episode ranges* (default ~16 episodes,
- * adaptive down near the tail) to connected workers, and ingests their
- * completed episode records -- turning N processes/machines into one
- * campaign without NFS. The wire protocol *is* the binlog store format
- * (common/binlog): each direction opens with the 8-byte CRBL header and
- * then streams self-delimiting CRC32-checked frames, so a worker sends
- * exactly the frames it would have appended to a local store, the
- * coordinator appends them to its own StoreBackend log, and crash
- * recovery falls out of the existing salvage path. A capture of either
- * direction is a valid .crbl file.
- *
- * Control messages are ordinary Record frames whose names live under
- * the `coord|` prefix (the store-key grammar treats them as opaque, and
- * they are never merged into the store):
+ * One single-threaded poll() process owns the campaign store, serves
+ * pending *episode ranges* (default 16 episodes, fewer near the tail)
+ * to connected workers, and stores their completed episode records. The
+ * wire *is* the binlog store format (common/binlog): each direction
+ * opens with the 8-byte CRBL header, then streams CRC32-checked frames,
+ * so a capture of either direction is a valid .crbl file. Control
+ * messages are Record frames named under the `coord|` prefix, never
+ * stored:
  *
  *   worker -> coordinator
  *     coord|hello   {worker}  {proto}     identify (first record)
@@ -38,23 +33,27 @@
  *     <episodes>                          fetch reply (Episode frames)
  *     coord|fetched {fp}                  fetch reply complete
  *
- * Exactly-once without two-phase commit: the coordinator's have-bitmap
- * (episode-index gap-fill, the same primitive --resume uses) is the
- * single source of truth. A worker that dies mid-range simply stops; its
- * assignment times out after rangeTimeoutSeconds (or is re-pooled at
- * once when its connection drops) and the *still-missing* indices are
- * re-dispatched. Duplicate episodes (a straggler finishing a
- * re-dispatched range) are dropped: the first copy of every record is
- * the one stored, in either store format -- and episodes are
- * deterministic functions of (fingerprint, index) anyway.
+ * Exactly-once without two-phase commit: the have-bitmap of episode
+ * indices (the gap-fill --resume uses) is the single source of truth. A
+ * range whose worker drops is re-pooled at once, one outstanding longer
+ * than rangeTimeoutSeconds is re-pooled by the clock, and only the
+ * *still-missing* indices are dispatched again. A straggler's duplicate
+ * episode is dropped: the first copy of every record is the one stored.
  *
- * The coordinator is its store's only writer, through the same
- * ResultStore a local campaign uses (core/store_backend.hpp): it loads
- * the store once at start() and from then on every record arrives on
- * the wire, so flushes take no lock and never re-read the disk. It
- * refuses to start on a store a newer build wrote. This is the one way
- * a campaign spans processes; within a process, SweepRunner's local
- * threads share the work.
+ * Core and shell. CoordCore is the whole range protocol: assignment,
+ * gap-fill, timeout re-dispatch, `fin` scoping, fetch, the --once exit
+ * and its rejoin windows, and the `worker|` telemetry. It takes events
+ * (a connection opened, a record arrived on it, it closed, time passed)
+ * that each carry their own `now`, and returns the frames to send. It
+ * makes no socket call, reads no clock and never publishes: it touches
+ * only the store's in-memory view (records(), insert(), put()).
+ * Coordinator is the poll() shell around it: accept, recv and the one
+ * send primitive (with its `connreset` chaos hook), the steady clock,
+ * and the publishes -- the store is loaded once at start() and written
+ * every 64 records, at every range boundary and at least once a second,
+ * by the same ResultStore a local campaign uses. So the protocol is
+ * tested on a virtual clock, with no sockets and no sleeps
+ * (tests/test_coordinator.cpp).
  *
  * The coordinator listens on every interface, so every integer either
  * side reads off the wire (need, start, count, ms) goes through
@@ -64,6 +63,7 @@
 
 #include <atomic>
 #include <map>
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -125,7 +125,10 @@ class CoordClient
     /** Encode + send records as binlog frames. False on a dead/reset
      *  connection (the client closes itself; reconnect to continue). */
     bool send(const std::vector<JsonRecord>& recs, std::string* error);
-    bool send(const JsonRecord& rec, std::string* error);
+    bool send(const JsonRecord& rec, std::string* error)
+    {
+        return send(std::vector<JsonRecord>{rec}, error);
+    }
 
     /**
      * Block for the next record from the coordinator. False on EOF,
@@ -142,55 +145,60 @@ class CoordClient
     binlog::StreamDecoder dec_;
 };
 
-/** Single-threaded poll() coordinator process (see file comment). */
-class Coordinator
+/** Options of a coordinator (Coordinator::Options). */
+struct CoordOptions
+{
+    std::string storePath;  //!< required: the campaign store
+    StoreFormat storeFormat = StoreFormat::Binlog;
+    int port = 0;           //!< 0 picks an ephemeral port
+    int rangeEpisodes = 16; //!< dispatch quantum (adaptive down)
+    /** Assignment timeout: a range not completed within this many
+     *  seconds is re-dispatched. */
+    double rangeTimeoutSeconds = 30.0;
+    bool once = false; //!< exit once the campaign completes
+    bool verbose = false;
+};
+
+/**
+ * The coordinator's range protocol without I/O (see the file comment).
+ * Every event carries its `now`, in seconds on any clock that never runs
+ * backwards; the core reads none, so a test can drive it on a virtual
+ * one. Not thread-safe: the shell's one thread owns it.
+ */
+class CoordCore
 {
   public:
-    struct Options
-    {
-        std::string storePath;     //!< required: the campaign store
-        StoreFormat storeFormat = StoreFormat::Binlog;
-        int port = 0;              //!< 0 picks an ephemeral port
-        int rangeEpisodes = 16;    //!< dispatch quantum (adaptive down)
-        /** Assignment timeout: a range not completed within this many
-         *  seconds is re-dispatched. */
-        double rangeTimeoutSeconds = 30.0;
-        bool once = false;   //!< exit once the campaign completes
-        bool verbose = false;
-        int flushEvery = 64; //!< ingested records per store flush
-    };
+    /** A campaign over `store`, already loaded, starting at `now`. */
+    CoordCore(const CoordOptions& opt, ResultStore& store, double now);
 
-    explicit Coordinator(Options opt);
-    Coordinator(const Coordinator&) = delete;
-    Coordinator& operator=(const Coordinator&) = delete;
-    ~Coordinator();
-
-    /** Bind + listen (SO_REUSEADDR: a restarted coordinator rebinds its
-     *  port immediately) and load the store. False with `error`. */
-    bool start(std::string* error);
-
-    /** The bound port (after start()); useful with port 0. */
-    int port() const { return port_; }
+    /** Connection `conn` opened (an id no open connection holds). */
+    void open(int conn) { peers_[conn].id = conn; }
 
     /**
-     * Serve until stop() (or, with Options::once, until every declared
-     * fingerprint is complete and the last worker disconnected; a worker
-     * whose connection dropped without `bye` -- a reset, not a clean
-     * exit -- first gets a short grace to reconnect, and a coordinator
-     * restarted on a store a fleet wrote gives that fleet a grace to
-     * come back). Runs the poll loop on the calling thread.
+     * Handle one record `conn` sent: a `coord|` control verb, or a
+     * record to store (its first copy is kept). Appends the frames to
+     * send back to `conn` to `out`. True at a range boundary (a `done`),
+     * where the shell lands the queued batch.
      */
-    void runLoop();
+    bool receive(int conn, JsonRecord&& rec, double now,
+                 std::vector<JsonRecord>& out);
+
+    /** Connection `conn` closed (`why` goes to the verbose log): its
+     *  outstanding ranges return to the pool. */
+    void close(int conn, const char* why, double now);
 
     /**
-     * Ask runLoop() to finish within one poll tick (<= 100 ms). Safe
-     * from another thread and from a signal handler: the flag is a
-     * lock-free atomic.
+     * Re-pool every range outstanding longer than the range timeout.
+     * True when a CoordOptions::once campaign is over: every declared
+     * fingerprint is complete, no connection is open, and the rejoin
+     * window has passed.
      */
-    void stop() { stopping_.store(true); }
+    bool tick(double now);
 
-    // Campaign counters (read after runLoop; for tests and the tool's
-    // exit summary).
+    /** Refresh the `worker|<id>` telemetry in the store (before each
+     *  publish). */
+    void putTelemetry();
+
     long long episodesIngested() const { return episodesIngested_; }
     long long rangesDispatched() const { return rangesDispatched_; }
     long long rangesRedispatched() const { return rangesRedispatched_; }
@@ -203,7 +211,7 @@ class Coordinator
         int count = 0;
         int connId = -1;
         std::string worker;
-        double since = 0.0; //!< dispatch time (steady clock)
+        double since = 0.0; //!< dispatch time
     };
 
     /** Dispatch state of one declared fingerprint. */
@@ -212,8 +220,8 @@ class Coordinator
         int need = 0;
         std::vector<char> have;
         int haveCount = 0;
-        bool complete = false;
         std::vector<Assignment> assigned;
+        bool complete() const { return haveCount == need; }
     };
 
     /** Per-worker telemetry (keyed by the hello worker id). */
@@ -228,12 +236,10 @@ class Coordinator
         std::vector<double> rangeWallMs;
     };
 
-    /** One connected worker. */
-    struct Conn
+    /** The protocol state of one open connection. */
+    struct Peer
     {
-        int fd = -1;
         int id = -1;
-        bool dead = false;  //!< send failed; reaped after processing
         bool bye = false;   //!< said goodbye: its close is not a reset
         std::string worker; //!< empty until hello
         /** Fingerprints this connection declared: only these are
@@ -241,41 +247,23 @@ class Coordinator
          *  scoped campaigns), and `fin` fires when *they* are complete,
          *  not the whole store. */
         std::set<std::string> declared;
-        binlog::StreamDecoder dec;
-        binlog::FrameEncoder enc;
     };
 
-    void acceptConns();
-    void handleReadable(int fd);
-    bool handleRecord(Conn& conn, JsonRecord&& rec);
-    void handleControl(Conn& conn, const std::string& verb,
-                       const JsonRecord& rec);
-    void ingestRecord(Conn& conn, JsonRecord&& rec);
+    void ingestRecord(Peer& peer, JsonRecord&& rec, double now);
     void declareNeed(const std::string& fp, int need);
-    void dispatch(Conn& conn);
-    void serveFetch(Conn& conn, const JsonRecord& rec);
-    bool sendRecord(Conn& conn, const JsonRecord& rec);
-    void dropConn(std::size_t index, const char* why);
+    void dispatch(Peer& peer, double now, std::vector<JsonRecord>& out);
+    void serveFetch(const JsonRecord& rec, std::vector<JsonRecord>& out);
     void expireAssignments(double now);
-    void completeFp(const std::string& fp, FpState& st);
-    void flushStore();
-    void writeWorkerTelemetry();
-    bool allComplete() const;
-    long long remainingUnassigned() const;
-    int activeWorkers() const;
+    /** Erase `a` from `st`, counted as re-dispatched when `charge`. */
+    std::vector<Assignment>::iterator
+    repool(FpState& st, std::vector<Assignment>::iterator a, bool charge);
 
-    Options opt_;
-    int listenFd_ = -1;
-    int port_ = 0;
-    std::atomic<bool> stopping_{false};
-    int nextConnId_ = 0;
-    std::vector<Conn> conns_;
+    CoordOptions opt_;
+    ResultStore& store_;
+    std::map<int, Peer> peers_;
     std::map<std::string, FpState> fps_;
     std::vector<std::string> fpOrder_; //!< declaration order
-    std::unique_ptr<ResultStore> store_; //!< opened by start()
-    bool anyDeclared_ = false;
-    double lastFlush_ = 0.0;
-    /** --once may not exit before this: a worker that dropped without
+    /** --once may not end before this: a worker that dropped without
      *  `bye`, or the fleet of a store this coordinator restarted on, may
      *  still be reconnecting. */
     double rejoinUntil_ = 0.0;
@@ -283,6 +271,73 @@ class Coordinator
     long long episodesIngested_ = 0;
     long long rangesDispatched_ = 0;
     long long rangesRedispatched_ = 0;
+};
+
+/** Single-threaded poll() coordinator process: the shell around
+ *  CoordCore (see file comment). */
+class Coordinator
+{
+  public:
+    using Options = CoordOptions;
+
+    explicit Coordinator(Options opt) : opt_(std::move(opt)) {}
+    Coordinator(const Coordinator&) = delete;
+    Coordinator& operator=(const Coordinator&) = delete;
+    ~Coordinator();
+
+    /** Bind + listen (SO_REUSEADDR: a restarted coordinator rebinds its
+     *  port immediately) and load the store, refusing one a newer build
+     *  wrote. False with `error`. */
+    bool start(std::string* error);
+
+    /** The bound port (after start()); useful with port 0. */
+    int port() const { return port_; }
+
+    /** Serve until stop() -- or, with Options::once, until CoordCore::tick
+     *  says the campaign is over. Runs the poll loop on the calling
+     *  thread. */
+    void runLoop();
+
+    /**
+     * Ask runLoop() to finish within one poll tick (<= 100 ms). Safe
+     * from another thread and from a signal handler: the flag is a
+     * lock-free atomic.
+     */
+    void stop() { stopping_.store(true); }
+
+    // Campaign counters (after start(); for tests and the tool's exit
+    // summary).
+    long long episodesIngested() const { return core_->episodesIngested(); }
+    long long rangesDispatched() const { return core_->rangesDispatched(); }
+    long long rangesRedispatched() const { return core_->rangesRedispatched(); }
+
+  private:
+    /** One connected worker: its socket and its codec state. */
+    struct Conn
+    {
+        int fd = -1;
+        int id = -1;
+        bool dead = false; //!< send failed; reaped after processing
+        binlog::StreamDecoder dec;
+        binlog::FrameEncoder enc;
+    };
+
+    void acceptConns();
+    void handleReadable(int fd);
+    void deliver(Conn& conn, JsonRecord&& rec);
+    void dropConn(std::size_t index, const char* why);
+    void flushStore();
+
+    Options opt_;
+    int listenFd_ = -1;
+    int port_ = 0;
+    std::atomic<bool> stopping_{false};
+    int nextConnId_ = 0;
+    std::vector<Conn> conns_;
+    std::unique_ptr<ResultStore> store_; //!< opened by start()
+    std::unique_ptr<CoordCore> core_;    //!< created by start()
+    std::vector<JsonRecord> replies_;    //!< the core's replies to a record
+    double lastFlush_ = 0.0;
 };
 
 } // namespace create

@@ -4,7 +4,7 @@
  * @file
  * ManipWorld: a tabletop manipulation environment standing in for the
  * LIBERO / CALVIN / OXE benchmarks of the cross-platform evaluation
- * (Fig. 17, Table 10; DESIGN.md substitution #4).
+ * (Fig. 17, Table 10; README "Substitutions" #4).
  *
  * A gripper moves on an 8x8 table among an object, a goal zone, a button,
  * a drawer handle, and a slideable block. Twelve tasks mirror the paper's

@@ -5,7 +5,7 @@
  * Privileged scripted expert for MineWorld.
  *
  * Provides the demonstrations the controller is behavior-cloned from
- * (DESIGN.md substitution #1: STEVE-1's VPT-distilled policy -> BC on a
+ * (README "Substitutions" #1: STEVE-1's VPT-distilled policy -> BC on a
  * scripted expert). The expert sees the whole map (the learner only sees
  * MineObs), so during "exploration" phases the expert's moves look
  * multi-modal from the learner's viewpoint -- which is exactly what makes

@@ -2,7 +2,8 @@
 
 /**
  * @file
- * MineWorld: a seeded Minecraft-like grid world (DESIGN.md substitution #2).
+ * MineWorld: a seeded Minecraft-like grid world (README "Substitutions"
+ * #2).
  *
  * It preserves the task structure the paper's characterization depends on:
  *  - a crafting/smelting tech tree so high-level tasks decompose into

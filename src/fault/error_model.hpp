@@ -21,7 +21,7 @@
  * 24-bit-accumulator systolic array via PrimeTime+HSPICE; we substitute a
  * parametric alpha-power-law delay model calibrated to the same qualitative
  * anchors (BER ~0 at the 0.9 V nominal, ~1e-7 at 0.85 V, ~1e-4 at 0.75 V,
- * ~1e-2 at 0.65 V). See DESIGN.md substitution #3.
+ * ~1e-2 at 0.65 V). See README "Substitutions" #3.
  */
 
 #include <array>

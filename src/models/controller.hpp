@@ -5,7 +5,7 @@
  * The RL controller (Fig. 3 right): a post-norm Transformer policy that
  * fuses a subtask prompt embedding with observation tokens and emits
  * action logits each step. Trained by behavior cloning from the scripted
- * experts (DESIGN.md substitution #1).
+ * experts (README "Substitutions" #1).
  *
  * The class is environment-agnostic: it consumes a subtask id plus the
  * two observation feature vectors (spatial / state), so the same code

@@ -3,7 +3,7 @@
 /**
  * @file
  * The decoded-plan platform families of the Fig. 17 generality study
- * (DESIGN.md substitution #4). A planner stand-in decomposes the whole
+ * (README "Substitutions" #4). A planner stand-in decomposes the whole
  * mission into motion subtasks once; a behavior-cloned controller
  * stand-in executes them step by step, paired with an entropy predictor
  * for autonomy-adaptive voltage scaling.

@@ -20,7 +20,7 @@ namespace create::nn {
  * Fully connected layer with weight (in x out) and optional bias.
  *
  * Supports a fixed (non-trainable) per-output-channel scale used to plant
- * LLM-style systematic activation outliers (DESIGN.md substitution #1):
+ * LLM-style systematic activation outliers (README "Substitutions" #1):
  * the scale is structurally part of the layer in both paths, so training
  * cannot optimize it away and the quantization/AD calibration sees the
  * outlier-laden outputs exactly as deployed hardware would.

@@ -7,7 +7,7 @@
  * These describe the *real* model architectures the paper deploys (JARVIS-1
  * planner/controller, OpenVLA, RoboFlamingo, RT-1, Octo, entropy predictor)
  * as GEMM lists for the analytical perf/energy model. The behavioural
- * simulation uses small trainable stand-ins (see DESIGN.md substitution #1),
+ * simulation uses small trainable stand-ins (README "Substitutions" #1),
  * but all Joule-level results are computed at these paper-scale costs so
  * Figs. 16-18 and Table 3 keep the paper's magnitudes.
  *

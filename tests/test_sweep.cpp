@@ -322,6 +322,33 @@ TEST(Sweep, DriversRefuseRemovedMultiProcessFlags)
     }
 }
 
+TEST(Sweep, ConnectSpecIsCheckedAtConstruction)
+{
+    // A socket worker's --connect spec is parsed, and its exclusivity
+    // with the store options checked, when the runner is built -- before
+    // any episode runs or any socket opens.
+    for (const char* bad : {"localhost", ":80", "h:", "h:0", "h:65536",
+                            "h:80x"}) {
+        SCOPED_TRACE(bad);
+        SweepRunner::Options o;
+        o.connect = bad;
+        EXPECT_THROW(SweepRunner{o}, std::invalid_argument);
+    }
+    SweepRunner::Options withStore;
+    withStore.connect = "127.0.0.1:9";
+    withStore.storePath = "/tmp/create_test_sweep_connect.json";
+    EXPECT_THROW(SweepRunner{withStore}, std::invalid_argument);
+    SweepRunner::Options withResume;
+    withResume.connect = "127.0.0.1:9";
+    withResume.resume = true;
+    EXPECT_THROW(SweepRunner{withResume}, std::invalid_argument);
+    // Well-formed and alone, it constructs; nothing connects until run()
+    // (port 9 has no listener).
+    SweepRunner::Options ok;
+    ok.connect = "127.0.0.1:9";
+    EXPECT_NO_THROW(SweepRunner{ok});
+}
+
 TEST(Sweep, SlicedCellsShareOneExecution)
 {
     // reps is a prefix length: declaring the same deployment point at
