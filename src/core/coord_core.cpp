@@ -46,15 +46,14 @@ CoordCore::CoordCore(const CoordOptions& opt, ResultStore& store, double now)
 
 bool
 CoordCore::receive(int conn, JsonRecord&& rec, double now,
-                   std::vector<JsonRecord>& out)
+                   std::vector<Frame>& out)
 {
     Peer& peer = peers_[conn];
     std::string verb;
+    bool boundary = false;
     if (!coordwire::isControl(rec, &verb)) {
         ingestRecord(peer, std::move(rec), now);
-        return false;
-    }
-    if (verb == "hello") {
+    } else if (verb == "hello") {
         peer.worker = rec.text("worker");
         if (peer.worker.empty())
             peer.worker = "conn" + std::to_string(peer.id);
@@ -68,44 +67,48 @@ CoordCore::receive(int conn, JsonRecord&& rec, double now,
     } else if (verb == "need") {
         const std::string fp = rec.text("fp");
         const int need = coordwire::wireInt(rec, "need");
-        if (fp.empty() || need < 1)
-            return false; // malformed: dropped
-        peer.declared.insert(fp);
-        declareNeed(fp, need);
+        if (!fp.empty() && need >= 1) { // a malformed one is dropped
+            peer.declared.insert(fp);
+            declareNeed(fp, need);
+        }
     } else if (verb == "req") {
         dispatch(peer, now, out);
     } else if (verb == "done") {
+        boundary = true;
         const auto it = fps_.find(rec.text("fp"));
-        if (it == fps_.end())
-            return true;
         // A malformed field reads -1, which matches no assignment.
         const int start = coordwire::wireInt(rec, "start");
         const int count = coordwire::wireInt(rec, "count");
-        auto& as = it->second.assigned;
-        for (auto a = as.begin(); a != as.end(); ++a) {
-            if (a->connId != peer.id || a->start != start ||
-                a->count != count)
-                continue;
-            WorkerStats& ws = workers_[peer.worker.empty()
-                                           ? "conn" + std::to_string(peer.id)
-                                           : peer.worker];
-            ++ws.rangesCompleted;
-            ws.lastSeen = now;
-            ws.rangeWallMs.push_back((now - a->since) * 1000.0);
-            as.erase(a);
-            break;
+        if (it != fps_.end()) {
+            auto& as = it->second.assigned;
+            for (auto a = as.begin(); a != as.end(); ++a) {
+                if (a->connId != peer.id || a->start != start ||
+                    a->count != count)
+                    continue;
+                WorkerStats& ws =
+                    workers_[peer.worker.empty()
+                                 ? "conn" + std::to_string(peer.id)
+                                 : peer.worker];
+                ++ws.rangesCompleted;
+                ws.lastSeen = now;
+                ws.rangeWallMs.push_back((now - a->since) * 1000.0);
+                as.erase(a);
+                break;
+            }
         }
         // A `done` for an assignment we already expired is a straggler
         // finishing a re-dispatched range: its episodes were dropped as
         // duplicates, nothing else to do.
-        return true;
     } else if (verb == "fetch") {
-        serveFetch(rec, out);
+        serveFetch(conn, rec, out);
     } else if (verb == "bye") {
         peer.bye = true;
     }
-    // Unknown verbs are ignored: newer workers degrade gracefully.
-    return false;
+    // Unknown verbs are ignored: newer workers degrade gracefully. What
+    // this record freed -- the episode that completes a ledger, a deeper
+    // need, a range a timeout re-pools -- goes to the parked peers now.
+    answerParked(now, out);
+    return boundary;
 }
 
 void
@@ -171,8 +174,7 @@ CoordCore::declareNeed(const std::string& fp, int need)
 }
 
 void
-CoordCore::dispatch(Peer& peer, double now,
-                            std::vector<JsonRecord>& out)
+CoordCore::dispatch(Peer& peer, double now, std::vector<Frame>& out)
 {
     expireAssignments(now);
     for (const std::string& fp : fpOrder_) {
@@ -231,7 +233,8 @@ CoordCore::dispatch(Peer& peer, double now,
         r.strings.emplace_back("fp", fp);
         r.numbers.emplace_back("start", start);
         r.numbers.emplace_back("count", count);
-        out.push_back(std::move(r));
+        out.push_back({peer.id, std::move(r)});
+        peer.parked = false;
         if (opt_.verbose)
             std::fprintf(stderr, "[coord] %s <- %s [%d, %d)\n",
                          peer.worker.c_str(), fp.c_str(), start,
@@ -246,21 +249,24 @@ CoordCore::dispatch(Peer& peer, double now,
         mineComplete = mineComplete && it != fps_.end() &&
                        it->second.complete();
     }
-    if (mineComplete) {
-        out.push_back(coordwire::control("fin"));
-        return;
-    }
+    if (mineComplete)
+        out.push_back({peer.id, coordwire::control("fin")});
     // Incomplete but nothing to hand out (everything missing is in
-    // flight): tell the worker when to ask again.
-    JsonRecord w = coordwire::control("wait");
-    w.numbers.emplace_back(
-        "ms",
-        std::max(50.0, std::min(1000.0, opt_.rangeTimeoutSeconds * 250.0)));
-    out.push_back(std::move(w));
+    // flight): the request waits for the event that frees work.
+    peer.parked = !mineComplete;
 }
 
 void
-CoordCore::serveFetch(const JsonRecord& rec, std::vector<JsonRecord>& out)
+CoordCore::answerParked(double now, std::vector<Frame>& out)
+{
+    for (auto& [id, peer] : peers_)
+        if (peer.parked)
+            dispatch(peer, now, out);
+}
+
+void
+CoordCore::serveFetch(int conn, const JsonRecord& rec,
+                      std::vector<Frame>& out)
 {
     const std::string fp = rec.text("fp");
     // Never past the deepest need declared here: the scan runs inside
@@ -274,15 +280,16 @@ CoordCore::serveFetch(const JsonRecord& rec, std::vector<JsonRecord>& out)
     for (int i = 0; i < need; ++i) {
         const auto it = view.find(sweepEpisodeKey(fp, i));
         if (it != view.end())
-            out.push_back(it->second);
+            out.push_back({conn, it->second});
     }
     JsonRecord done = coordwire::control("fetched");
     done.strings.emplace_back("fp", fp);
-    out.push_back(std::move(done));
+    out.push_back({conn, std::move(done)});
 }
 
 void
-CoordCore::close(int conn, const char* why, double now)
+CoordCore::close(int conn, const char* why, double now,
+                 std::vector<Frame>& out)
 {
     const auto p = peers_.find(conn);
     if (p == peers_.end())
@@ -319,12 +326,14 @@ CoordCore::close(int conn, const char* why, double now)
         std::fprintf(stderr, "[coord] conn %d (%s) closed: %s\n", conn,
                      peer.worker.empty() ? "?" : peer.worker.c_str(), why);
     peers_.erase(p);
+    answerParked(now, out);
 }
 
 bool
-CoordCore::tick(double now)
+CoordCore::tick(double now, std::vector<Frame>& out)
 {
     expireAssignments(now);
+    answerParked(now, out);
     return opt_.once && peers_.empty() && !fps_.empty() &&
            std::all_of(fps_.begin(), fps_.end(),
                        [](const auto& f) { return f.second.complete(); }) &&

@@ -7,7 +7,6 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cmath>
@@ -121,6 +120,7 @@ CoordClient::close()
     // new header and a new dictionary on both sides.
     enc_.reset();
     dec_.reset();
+    handshake_.clear();
 }
 
 bool
@@ -132,16 +132,13 @@ CoordClient::connect(const std::string& host, int port,
     fd_ = io::connectRetry(host, port, attempts, error);
     if (fd_ < 0)
         return false;
-    std::string out;
-    binlog::FrameEncoder::encodeHeader(out);
+    // The stream header and the hello go out with the first send(), so
+    // a reset that cuts them fails that send like any other.
+    binlog::FrameEncoder::encodeHeader(handshake_);
     JsonRecord hello = coordwire::control("hello");
     hello.strings.emplace_back("worker", workerId);
     hello.numbers.emplace_back("proto", 1.0);
-    enc_.encodeRecord(hello, out);
-    if (!wireSend(fd_, out.data(), out.size(), error)) {
-        close();
-        return false;
-    }
+    enc_.encodeRecord(hello, handshake_);
     return true;
 }
 
@@ -154,6 +151,7 @@ CoordClient::send(const std::vector<JsonRecord>& recs, std::string* error)
         return false;
     }
     std::string out;
+    out.swap(handshake_);
     for (const JsonRecord& rec : recs)
         enc_.encodeRecord(rec, out);
     if (out.empty())
@@ -196,7 +194,7 @@ CoordClient::recv(JsonRecord& rec, std::string* error)
 
 Coordinator::~Coordinator()
 {
-    for (Conn& c : conns_)
+    for (const auto& [id, c] : conns_)
         ::close(c.fd);
     if (listenFd_ >= 0)
         ::close(listenFd_);
@@ -266,10 +264,13 @@ Coordinator::runLoop()
 {
     while (!stopping_.load()) {
         std::vector<pollfd> pfds;
+        std::vector<int> ids; // the connection behind pfds[p + 1]
         pfds.reserve(conns_.size() + 1);
         pfds.push_back(pollfd{listenFd_, POLLIN, 0});
-        for (const Conn& c : conns_)
+        for (const auto& [id, c] : conns_) {
             pfds.push_back(pollfd{c.fd, POLLIN, 0});
+            ids.push_back(id);
+        }
         const int rc = ::poll(pfds.data(),
                               static_cast<nfds_t>(pfds.size()), 100);
         if (rc < 0 && errno != EINTR) {
@@ -279,14 +280,16 @@ Coordinator::runLoop()
         if (rc > 0) {
             if (pfds[0].revents & POLLIN)
                 acceptConns();
-            // Process by fd: a drop mid-loop erases from conns_, so the
+            // Process by id: a drop mid-loop erases from conns_, so the
             // pollfd list (a snapshot) is the safe thing to walk.
             for (std::size_t p = 1; p < pfds.size(); ++p)
                 if (pfds[p].revents & (POLLIN | POLLHUP | POLLERR))
-                    handleReadable(pfds[p].fd);
+                    handleReadable(ids[p - 1]);
         }
         const double now = nowSeconds();
-        if (core_->tick(now))
+        const bool over = core_->tick(now, frames_);
+        sendFrames();
+        if (over)
             break;
         if (store_->queued() > 0 && now - lastFlush_ >= 1.0)
             flushStore();
@@ -315,69 +318,78 @@ Coordinator::acceptConns()
             ::close(fd);
             continue;
         }
-        Conn c;
-        c.fd = fd;
-        c.id = nextConnId_++;
-        core_->open(c.id);
-        conns_.push_back(std::move(c));
+        const int id = nextConnId_++;
+        conns_[id].fd = fd;
+        core_->open(id);
         if (opt_.verbose)
-            std::fprintf(stderr, "[coord] conn %d accepted\n",
-                         conns_.back().id);
+            std::fprintf(stderr, "[coord] conn %d accepted\n", id);
     }
 }
 
 void
-Coordinator::handleReadable(int fd)
+Coordinator::handleReadable(int id)
 {
-    const auto it = std::find_if(conns_.begin(), conns_.end(),
-                                 [fd](const Conn& c) { return c.fd == fd; });
-    if (it == conns_.end())
-        return;
-    const auto idx = static_cast<std::size_t>(it - conns_.begin());
     char buf[65536];
-    for (;;) {
-        Conn& conn = conns_[idx];
-        const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+    // A failed send drops the connection it went to, this one included,
+    // so each pass looks the connection up again.
+    for (auto it = conns_.find(id); it != conns_.end(); it = conns_.find(id)) {
+        Conn& conn = it->second;
+        const ssize_t n = ::recv(conn.fd, buf, sizeof(buf), 0);
         if (n < 0 && errno == EINTR)
             continue;
         if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK))
             return;
-        if (n <= 0)
-            return dropConn(idx, n ? std::strerror(errno) : "disconnected");
-        if (!conn.dec.feed(buf, static_cast<std::size_t>(n)))
-            return dropConn(idx, "corrupt frame stream");
+        if (n <= 0 || !conn.dec.feed(buf, static_cast<std::size_t>(n))) {
+            dropConn(id, n < 0    ? std::strerror(errno)
+                         : n == 0 ? "disconnected"
+                                  : "corrupt frame stream");
+            return sendFrames();
+        }
         JsonRecord rec;
-        while (!conn.dead && conn.dec.pop(rec))
-            deliver(conn, std::move(rec));
-        if (conn.dead)
-            return dropConn(idx, "send failed");
+        while (conns_.count(id) && conn.dec.pop(rec))
+            deliver(id, std::move(rec));
     }
 }
 
 void
-Coordinator::deliver(Conn& conn, JsonRecord&& rec)
+Coordinator::deliver(int id, JsonRecord&& rec)
 {
-    replies_.clear();
     const bool boundary =
-        core_->receive(conn.id, std::move(rec), nowSeconds(), replies_);
-    if (!replies_.empty()) {
-        std::string buf;
-        for (const JsonRecord& r : replies_)
-            conn.enc.encodeRecord(r, buf);
-        if (!wireSend(conn.fd, buf.data(), buf.size(), nullptr))
-            conn.dead = true;
-    }
+        core_->receive(id, std::move(rec), nowSeconds(), frames_);
+    sendFrames();
     // A range boundary lands the batch; so does a full one.
     if (store_->queued() >= (boundary ? 1 : kFlushEvery))
         flushStore();
 }
 
 void
-Coordinator::dropConn(std::size_t index, const char* why)
+Coordinator::dropConn(int id, const char* why)
 {
-    core_->close(conns_[index].id, why, nowSeconds());
-    ::close(conns_[index].fd);
-    conns_.erase(conns_.begin() + static_cast<std::ptrdiff_t>(index));
+    const auto it = conns_.find(id);
+    ::close(it->second.fd);
+    conns_.erase(it);
+    core_->close(id, why, nowSeconds(), frames_);
+}
+
+void
+Coordinator::sendFrames()
+{
+    // Consecutive frames to one connection go out in one send. A failed
+    // send drops its connection at once, and the frames that drop frees
+    // join the end of the queue this loop is walking.
+    std::string buf;
+    for (std::size_t i = 0; i < frames_.size();) {
+        const int id = frames_[i].conn;
+        const auto it = conns_.find(id);
+        buf.clear();
+        for (; i < frames_.size() && frames_[i].conn == id; ++i)
+            if (it != conns_.end())
+                it->second.enc.encodeRecord(frames_[i].rec, buf);
+        if (it != conns_.end() &&
+            !wireSend(it->second.fd, buf.data(), buf.size(), nullptr))
+            dropConn(id, "send failed");
+    }
+    frames_.clear();
 }
 
 void

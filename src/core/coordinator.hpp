@@ -20,7 +20,8 @@
  *     coord|hello   {worker}  {proto}     identify (first record)
  *     <fp meta>                           ledger meta (Meta frame)
  *     coord|need    {fp}      {need}      declare a ledger's episode need
- *     coord|req     {}                    request a range
+ *     coord|req     {}                    request a range; answered when
+ *                                         a range or `fin` exists
  *     <episodes>                          completed records (Episode frames)
  *     coord|done    {fp} {start,count}    range finished
  *     coord|fetch   {fp}      {need}      request the fp's stored episodes
@@ -28,7 +29,6 @@
  *
  *   coordinator -> worker
  *     coord|range   {fp} {start,count}    run episodes [start, start+count)
- *     coord|wait    {}       {ms}         nothing dispatchable; poll later
  *     coord|fin     {}                    campaign complete
  *     <episodes>                          fetch reply (Episode frames)
  *     coord|fetched {fp}                  fetch reply complete
@@ -40,25 +40,33 @@
  * *still-missing* indices are dispatched again. A straggler's duplicate
  * episode is dropped: the first copy of every record is the one stored.
  *
+ * A `req` that finds nothing to hand out -- every missing episode of the
+ * worker's ledgers is in flight -- parks its connection, and the event
+ * that frees work answers it: the episode that completes the worker's
+ * ledgers sends its `fin`, a drop or a timeout that re-pools a range
+ * sends that range, and so does a deeper `need`. The worker just blocks
+ * in recv after each `req`.
+ *
  * Core and shell. CoordCore is the whole range protocol: assignment,
  * gap-fill, timeout re-dispatch, `fin` scoping, fetch, the --once exit
  * and its rejoin windows, and the `worker|` telemetry. It takes events
  * (a connection opened, a record arrived on it, it closed, time passed)
- * that each carry their own `now`, and returns the frames to send. It
- * makes no socket call, reads no clock and never publishes: it touches
- * only the store's in-memory view (records(), insert(), put()).
- * Coordinator is the poll() shell around it: accept, recv and the one
- * send primitive (with its `connreset` chaos hook), the steady clock,
- * and the publishes -- the store is loaded once at start() and written
- * every 64 records, at every range boundary and at least once a second,
- * by the same ResultStore a local campaign uses. So the protocol is
- * tested on a virtual clock, with no sockets and no sleeps
- * (tests/test_coordinator.cpp).
+ * that each carry their own `now`, and returns the frames to send, each
+ * addressed to its connection: one worker's event can answer another's
+ * parked request. It makes no socket call, reads no clock and never
+ * publishes: it touches only the store's in-memory view (records(),
+ * insert(), put()). Coordinator is the poll() shell around it: accept,
+ * recv and the one send primitive (with its `connreset` chaos hook; a
+ * failed send drops its connection at once, re-pooling its ranges like
+ * any other drop), the steady clock, and the publishes -- the store is
+ * loaded once at start() and written every 64 records, at every range
+ * boundary and at least once a second, by the same ResultStore a local
+ * campaign uses. So the protocol is tested on a virtual clock, with no
+ * sockets and no sleeps (tests/test_coordinator.cpp).
  *
  * The coordinator listens on every interface, so every integer either
- * side reads off the wire (need, start, count, ms) goes through
- * coordwire::wireInt, and the reader drops a frame with a malformed one
- * (a worker handed a malformed `wait` waits its 50 ms floor).
+ * side reads off the wire (need, start, count) goes through
+ * coordwire::wireInt, and the reader drops a frame with a malformed one.
  */
 
 #include <atomic>
@@ -86,7 +94,7 @@ JsonRecord control(const std::string& verb);
 /** True when `rec` is a control record; optionally yields the verb. */
 bool isControl(const JsonRecord& rec, std::string* verb = nullptr);
 
-/** Largest episode count, episode index or delay (ms) on the wire. */
+/** Largest episode count or episode index on the wire. */
 constexpr int kMaxWireInt = 1 << 20;
 
 /** Integer field `key` of a wire record, or -1 when it is missing, not
@@ -113,8 +121,9 @@ class CoordClient
 
     /**
      * Connect to host:port (io::connectRetry with `attempts` tries --
-     * raise it to survive a coordinator restart), send the stream
-     * header and the hello record. False with `error` on give-up.
+     * raise it to survive a coordinator restart) and queue the stream
+     * header and the hello record ahead of the first send(). False with
+     * `error` on give-up.
      */
     bool connect(const std::string& host, int port,
                  const std::string& workerId, int attempts,
@@ -143,6 +152,7 @@ class CoordClient
     int fd_ = -1;
     binlog::FrameEncoder enc_;
     binlog::StreamDecoder dec_;
+    std::string handshake_; //!< header + hello, until the first send()
 };
 
 /** Options of a coordinator (Coordinator::Options). */
@@ -163,11 +173,20 @@ struct CoordOptions
  * The coordinator's range protocol without I/O (see the file comment).
  * Every event carries its `now`, in seconds on any clock that never runs
  * backwards; the core reads none, so a test can drive it on a virtual
- * one. Not thread-safe: the shell's one thread owns it.
+ * one. Each event appends the frames it sends to `out`, in send order,
+ * and ends by answering every parked `req` it can. Not thread-safe: the
+ * shell's one thread owns it.
  */
 class CoordCore
 {
   public:
+    /** A frame to send: `rec` to connection `conn`. */
+    struct Frame
+    {
+        int conn = -1;
+        JsonRecord rec;
+    };
+
     /** A campaign over `store`, already loaded, starting at `now`. */
     CoordCore(const CoordOptions& opt, ResultStore& store, double now);
 
@@ -176,16 +195,15 @@ class CoordCore
 
     /**
      * Handle one record `conn` sent: a `coord|` control verb, or a
-     * record to store (its first copy is kept). Appends the frames to
-     * send back to `conn` to `out`. True at a range boundary (a `done`),
-     * where the shell lands the queued batch.
+     * record to store (its first copy is kept). True at a range boundary
+     * (a `done`), where the shell lands the queued batch.
      */
     bool receive(int conn, JsonRecord&& rec, double now,
-                 std::vector<JsonRecord>& out);
+                 std::vector<Frame>& out);
 
     /** Connection `conn` closed (`why` goes to the verbose log): its
      *  outstanding ranges return to the pool. */
-    void close(int conn, const char* why, double now);
+    void close(int conn, const char* why, double now, std::vector<Frame>& out);
 
     /**
      * Re-pool every range outstanding longer than the range timeout.
@@ -193,7 +211,7 @@ class CoordCore
      * fingerprint is complete, no connection is open, and the rejoin
      * window has passed.
      */
-    bool tick(double now);
+    bool tick(double now, std::vector<Frame>& out);
 
     /** Refresh the `worker|<id>` telemetry in the store (before each
      *  publish). */
@@ -240,8 +258,9 @@ class CoordCore
     struct Peer
     {
         int id = -1;
-        bool bye = false;   //!< said goodbye: its close is not a reset
-        std::string worker; //!< empty until hello
+        bool bye = false;    //!< said goodbye: its close is not a reset
+        bool parked = false; //!< its `req` waits for a range or `fin`
+        std::string worker;  //!< empty until hello
         /** Fingerprints this connection declared: only these are
          *  dispatched to it (workers of one fleet can run differently
          *  scoped campaigns), and `fin` fires when *they* are complete,
@@ -251,8 +270,11 @@ class CoordCore
 
     void ingestRecord(Peer& peer, JsonRecord&& rec, double now);
     void declareNeed(const std::string& fp, int need);
-    void dispatch(Peer& peer, double now, std::vector<JsonRecord>& out);
-    void serveFetch(const JsonRecord& rec, std::vector<JsonRecord>& out);
+    /** Answer `peer`'s `req` with a range or `fin`, or park it. */
+    void dispatch(Peer& peer, double now, std::vector<Frame>& out);
+    /** Dispatch to every parked peer: the end of each event. */
+    void answerParked(double now, std::vector<Frame>& out);
+    void serveFetch(int conn, const JsonRecord& rec, std::vector<Frame>& out);
     void expireAssignments(double now);
     /** Erase `a` from `st`, counted as re-dispatched when `charge`. */
     std::vector<Assignment>::iterator
@@ -316,16 +338,18 @@ class Coordinator
     struct Conn
     {
         int fd = -1;
-        int id = -1;
-        bool dead = false; //!< send failed; reaped after processing
         binlog::StreamDecoder dec;
         binlog::FrameEncoder enc;
     };
 
     void acceptConns();
-    void handleReadable(int fd);
-    void deliver(Conn& conn, JsonRecord&& rec);
-    void dropConn(std::size_t index, const char* why);
+    void handleReadable(int id);
+    void deliver(int id, JsonRecord&& rec);
+    /** Close connection `id` and tell the core, which queues the frames
+     *  its re-pooled ranges free; the caller sends them. */
+    void dropConn(int id, const char* why);
+    /** Send the core's queued frames, each to its connection. */
+    void sendFrames();
     void flushStore();
 
     Options opt_;
@@ -333,10 +357,10 @@ class Coordinator
     int port_ = 0;
     std::atomic<bool> stopping_{false};
     int nextConnId_ = 0;
-    std::vector<Conn> conns_;
-    std::unique_ptr<ResultStore> store_; //!< opened by start()
-    std::unique_ptr<CoordCore> core_;    //!< created by start()
-    std::vector<JsonRecord> replies_;    //!< the core's replies to a record
+    std::map<int, Conn> conns_;             //!< by connection id
+    std::unique_ptr<ResultStore> store_;    //!< opened by start()
+    std::unique_ptr<CoordCore> core_;       //!< created by start()
+    std::vector<CoordCore::Frame> frames_;  //!< the core's frames to send
     double lastFlush_ = 0.0;
 };
 

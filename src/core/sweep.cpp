@@ -517,13 +517,20 @@ SweepRunner::runConnected(std::vector<WorkUnit>& units)
         }
         return client.send(decl, err);
     };
+    // connect() gives up only when the coordinator stays unreachable; a
+    // reset can cut the handshake, which goes out with the declarations,
+    // like any later send, so that is tried again.
     const auto reconnect = [&]() {
         std::string err;
-        if (!client.connect(host, port, workerId_, kConnectAttempts,
-                            &err) ||
-            !declareAll(&err))
-            throw std::runtime_error(
-                "cannot reach coordinator " + opt_.connect + ": " + err);
+        for (int tries = 0; tries <= io::kRetryAttempts; ++tries) {
+            if (!client.connect(host, port, workerId_, kConnectAttempts,
+                                &err))
+                break;
+            if (declareAll(&err))
+                return;
+        }
+        throw std::runtime_error("cannot reach coordinator " + opt_.connect +
+                                 ": " + err);
     };
     // A later phase declares its ledgers on the connection an earlier
     // phase opened: closing it between phases would let a --once
@@ -546,6 +553,8 @@ SweepRunner::runConnected(std::vector<WorkUnit>& units)
     // scale-out). Each is one runJobs() call, which prepares the range's
     // config serially -- satisfying the per-width weight-freeze
     // constraint -- and fans its episodes out over the thread budget.
+    // The coordinator answers a `req` once a range or `fin` exists, so
+    // the worker blocks in recv until then.
     for (;;) {
         JsonRecord rec;
         std::string err;
@@ -563,12 +572,8 @@ SweepRunner::runConnected(std::vector<WorkUnit>& units)
             continue; // data frames are only expected during fetch
         if (verb == "fin")
             break;
-        if (verb == "wait") {
-            io::sleepMs(std::max(50, coordwire::wireInt(rec, "ms")));
-            continue;
-        }
         if (verb != "range")
-            continue;
+            continue; // an unknown verb: ask again
         const std::string fp = rec.text("fp");
         const int start = coordwire::wireInt(rec, "start");
         const int count = coordwire::wireInt(rec, "count");

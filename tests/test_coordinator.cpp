@@ -12,8 +12,9 @@
  *  episode keeping its first copy in either store format. The range
  *  protocol itself (CoordCore) runs on a deterministic simulator with a
  *  virtual clock: exhaustive at small scope, randomized beyond it, and
- *  directed cases for a deserter, a --once rejoin window and a restart
- *  on a fleet's store. */
+ *  directed cases for a deserter, a --once rejoin window, a restart on a
+ *  fleet's store, a parked request answered by each event that frees
+ *  work, and a request after a malformed need. */
 
 #include <gtest/gtest.h>
 
@@ -183,7 +184,7 @@ declareAndFetch(CoordClient& c, const std::string& fp, int need,
 
 /**
  * Reply frames as transcript lines: `range <fp> <start>+<count>`,
- * `wait <ms>`, `fetched <episodes before it>`, or the bare verb.
+ * `fetched <episodes before it>`, or the bare verb.
  */
 std::string
 transcribe(const std::vector<JsonRecord>& frames)
@@ -201,8 +202,6 @@ transcribe(const std::vector<JsonRecord>& frames)
             out += " " + r.text("fp") + " " +
                    std::to_string(coordwire::wireInt(r, "start")) + "+" +
                    std::to_string(coordwire::wireInt(r, "count"));
-        else if (verb == "wait")
-            out += " " + std::to_string(coordwire::wireInt(r, "ms"));
         else if (verb == "fetched")
             out += " " + std::to_string(episodes);
     }
@@ -382,11 +381,6 @@ TEST(Coordinator, SocketCampaignBitIdenticalToSerial)
     co.storeFormat = StoreFormat::Binlog;
     co.once = true;
     co.rangeEpisodes = 2;
-    // A worker asking while the tail is in flight waits a quarter of the
-    // range timeout (at most 1 s): keep it short. A range that does time
-    // out (a slow sanitizer build) re-dispatches, and changes nothing
-    // this test checks.
-    co.rangeTimeoutSeconds = 1.0;
     Coordinator coord(co);
     std::string error;
     ASSERT_TRUE(coord.start(&error)) << error;
@@ -740,8 +734,8 @@ TEST(Coordinator, DropsFramesWithMalformedIntegers)
     // on every interface -- must be checked, not cast: a `need` past the
     // wire limit would size a have-bitmap that large, and a fetch's
     // `need` would size a scan inside the single-threaded poll loop.
-    // Malformed frames are dropped; a fetch scans at most the declared
-    // need.
+    // Malformed frames are dropped (CoordSim.RequestAfterAMalformedNeedParks
+    // takes each `need` alone); a fetch scans at most the declared need.
     const std::string store = "/tmp/create_test_coord_crafted.json";
     removeStoreAnyFormat(store);
     const std::string fp = "v2|crafted|t0|cfg|s0";
@@ -760,21 +754,22 @@ TEST(Coordinator, DropsFramesWithMalformedIntegers)
     const auto frame = [&](const char* verb, double need) {
         return ledgerControl(verb, fp, {{"need", need}});
     };
-    const auto reply = [&](const JsonRecord& sent) {
+    const auto reply = [&](std::vector<JsonRecord> sent) {
         JsonRecord rec;
-        std::string verb;
-        if (c.send({sent, coordwire::control("req")}, &error) &&
-            c.recv(rec, &error))
-            coordwire::isControl(rec, &verb);
-        return verb;
+        sent.push_back(coordwire::control("req"));
+        if (!c.send(sent, &error) || !c.recv(rec, &error))
+            return std::string("no reply: ") + error;
+        return transcribe({rec});
     };
     const double nan = std::numeric_limits<double>::quiet_NaN();
-    // Each malformed declaration is dropped: nothing is declared, so the
-    // request that follows it waits instead of getting a range.
+    // The malformed declarations are dropped, so the valid one sizes the
+    // range: 2 episodes, not the default quantum of 16.
+    std::vector<JsonRecord> needs;
     for (const double bad :
          {nan, -1.0, 0.0, 2.5, coordwire::kMaxWireInt + 1.0, 1e300})
-        EXPECT_EQ(reply(frame("need", bad)), "wait") << bad;
-    EXPECT_EQ(reply(frame("need", 2)), "range");
+        needs.push_back(frame("need", bad));
+    needs.push_back(frame("need", 2));
+    EXPECT_EQ(reply(needs), "range " + fp + " 0+2");
 
     ASSERT_TRUE(c.send({makeRecord(sweepEpisodeKey(fp, 0), 0.0),
                         makeRecord(sweepEpisodeKey(fp, 1), 1.0),
@@ -791,7 +786,7 @@ TEST(Coordinator, DropsFramesWithMalformedIntegers)
         ++episodes;
     EXPECT_EQ(verb, "fetched");
     EXPECT_EQ(episodes, 2);
-    EXPECT_EQ(reply(coordwire::control("bye")), "fin"); // nothing else queued
+    EXPECT_EQ(reply({coordwire::control("bye")}), "fin"); // nothing else queued
     coord.stop(); // the close wakes the poll loop to see it
     c.close();
     serve.join();
@@ -803,7 +798,9 @@ TEST(Coordinator, WorkerDropsMalformedRanges)
     // The worker side of the same check, against a scripted coordinator:
     // a range starting before the ledger would land its episodes out of
     // bounds, and NaN or absurd fields are undefined to cast. The worker
-    // drops each one and runs only the well-formed range.
+    // drops each one and runs only the well-formed range. A `wait` (a
+    // verb older coordinators sent, here with a NaN delay) is an unknown
+    // verb: the worker asks again at once.
     const SweepCell cell = campaignCells(2)[1];
     const std::string fp = sweepFingerprint(cell);
     const int lfd = ::socket(AF_INET, SOCK_STREAM, 0);
@@ -881,10 +878,11 @@ TEST(Coordinator, ScriptedSessionMatchesItsTranscript)
     // deterministic: a worker that runs a range and part of the next,
     // a second worker joining mid-way, the first closing without `bye`
     // (its range re-pooled), a third whose only ledger is all in flight
-    // (`wait`), `fin` scoped to what each declared, and fetches. No
-    // timeout fires, so the transcript pins the protocol's decisions
-    // exactly. The stop() from this thread races the poll loop on
-    // purpose (a TSan target).
+    // (its request parks, and the episode that completes the ledger
+    // pushes its `fin`), `fin` scoped to what each declared, and
+    // fetches. No timeout fires, so the transcript pins the protocol's
+    // decisions exactly. The stop() from this thread races the poll loop
+    // on purpose (a TSan target).
     const std::string store = "/tmp/create_test_coord_script." +
                               std::to_string(::getpid()) + ".blog";
     removeStoreAnyFormat(store);
@@ -902,15 +900,16 @@ TEST(Coordinator, ScriptedSessionMatchesItsTranscript)
     const auto need = [](const std::string& fp, int n) {
         return ledgerControl("need", fp, {{"need", n}});
     };
-    // Send `recs` and then a `req` (or a fetch of `fetchFp`); log the
-    // reply and return it.
-    const auto ask = [&](CoordClient& c, const char* who,
-                         std::vector<JsonRecord> recs,
-                         const std::string& fetchFp = "") {
+    // Send `recs` and then a `req` (or a fetch of `fetchFp`).
+    const auto post = [&](CoordClient& c, std::vector<JsonRecord> recs,
+                          const std::string& fetchFp = "") {
         recs.push_back(fetchFp.empty()
                            ? coordwire::control("req")
                            : ledgerControl("fetch", fetchFp, {{"need", 100}}));
         EXPECT_TRUE(c.send(recs, &error)) << error;
+    };
+    // Read up to the next control frame; log the frames and return it.
+    const auto read = [&](CoordClient& c, const char* who) {
         std::vector<JsonRecord> frames(1);
         std::string verb;
         while (c.recv(frames.back(), &error) &&
@@ -918,6 +917,12 @@ TEST(Coordinator, ScriptedSessionMatchesItsTranscript)
             frames.emplace_back();
         transcript += std::string(who) + " " + transcribe(frames) + "\n";
         return frames.back();
+    };
+    const auto ask = [&](CoordClient& c, const char* who,
+                         std::vector<JsonRecord> recs,
+                         const std::string& fetchFp = "") {
+        post(c, std::move(recs), fetchFp);
+        return read(c, who);
     };
     // The first `count` episodes of `range` (all of it by default), and
     // its `done` when they are all of it.
@@ -951,12 +956,20 @@ TEST(Coordinator, ScriptedSessionMatchesItsTranscript)
     a.close();
     ASSERT_TRUE(c.connect("127.0.0.1", coord.port(), "c:1.1", 3, &error));
     JsonRecord rc = ask(c, "c", {need(big, 10)});
+    rb = ask(b, "b", run(rb));
+    // c runs a's re-pooled range and asks again while b holds big's last
+    // episode: nothing answers, and its request parks. c's fetch is
+    // answered, so the coordinator has read that request before b's
+    // episode completes big and pushes c's `fin`.
+    post(c, run(rc));
+    ask(c, "c", {}, big);
+    rb = ask(b, "b", run(rb));
+    read(c, "c");
     std::string verb;
-    for (int turn = 0; turn < 40; ++turn) {
-        JsonRecord& r = turn % 2 ? rc : rb;
-        if (coordwire::isControl(r, &verb) && verb == "fin")
-            continue;
-        r = ask(turn % 2 ? c : b, turn % 2 ? "c" : "b", run(r));
+    for (int turn = 0; turn < 20; ++turn) {
+        if (coordwire::isControl(rb, &verb) && verb == "fin")
+            break;
+        rb = ask(b, "b", run(rb));
     }
     ask(b, "b", {}, big);
     ask(b, "b", {}, tiny);
@@ -972,9 +985,9 @@ TEST(Coordinator, ScriptedSessionMatchesItsTranscript)
                           "b range big 8+1\n"
                           "c range big 6+2\n" // a's range, re-pooled
                           "b range big 9+1\n"
-                          "c wait 1000\n" // c declared only big
+                          "c fetched 9\n" // c's request parked: b holds 9
                           "b range tiny 0+1\n"
-                          "c fin\n"
+                          "c fin\n" // pushed by b's episode 9
                           "b range tiny 1+1\n"
                           "b fin\n"
                           "b fetched 10\n"
@@ -1025,9 +1038,9 @@ struct Worker
      *  declaration (an empty fp: none). */
     std::vector<std::pair<std::string, int>> needs;
     std::pair<std::string, int> deeper;
-    int conn = -1;        //!< the open connection, or -1
-    bool bye = false;     //!< left with `bye`: a clean exit, not a reset
-    bool waiting = false; //!< told to wait, and nothing changed since
+    int conn = -1;       //!< the open connection, or -1
+    bool bye = false;    //!< left with `bye`: a clean exit, not a reset
+    bool parked = false; //!< asked, and no frame has come since
     bool fin = false;
     std::set<std::string> declared; //!< on the open connection
     std::vector<Range> held;        //!< handed; its fate is next
@@ -1043,7 +1056,8 @@ struct Move
 };
 
 /**
- * Virtual workers driving a CoordCore on a virtual clock. Each event is
+ * Virtual workers driving a CoordCore on a virtual clock. Every frame
+ * the core sends goes to the worker on its connection. Each event is
  * checked against the protocol's safety properties as it happens, and
  * drain() runs the campaign to its end and checks the liveness ones.
  * The first property broken is kept in failure().
@@ -1085,7 +1099,7 @@ class Sim
                 reset = reset || !w.bye;
                 continue;
             }
-            if (!w.fin && !w.waiting)
+            if (!w.fin && !w.parked)
                 out.push_back({Move::Ask, wi, Fate::Complete});
             if (!w.deeper.first.empty())
                 out.push_back({Move::Deepen, wi, Fate::Complete});
@@ -1102,11 +1116,10 @@ class Sim
     void apply(const Move& m)
     {
         now_ += m.kind == Move::Sleep ? kTimeout : 0.001;
-        bool waited = false;
         if (m.kind != Move::Sleep) {
             Worker& w = workers_[static_cast<std::size_t>(m.worker)];
             switch (m.kind) {
-            case Move::Ask: waited = ask(w); break;
+            case Move::Ask: ask(w); break;
             case Move::Decide: decide(w, m.fate); break;
             case Move::Straggle: straggle(w); break;
             case Move::Rejoin: connect(w); break;
@@ -1114,21 +1127,19 @@ class Sim
             case Move::Sleep: break;
             }
         }
-        if (!waited)
-            for (Worker& w : workers_)
-                w.waiting = false;
         tick();
     }
 
     /**
      * Run the campaign to its end: undecided ranges complete, everyone
-     * who left comes back, and the fleet asks (sleeping through every
-     * `wait`) until each worker has `fin`. Stragglers then land, and
-     * `fin` must hold. The fleet leaves, the last worker without `bye`
-     * (a reset cutting its final fetch): the --once core must hold its
-     * rejoin window open while that worker comes back, fetches its
-     * ledgers whole and leaves, then end once the window passes. Last,
-     * the store must hold every needed episode exactly once.
+     * who left comes back, and the fleet asks until each worker has
+     * `fin`; the clock moves on only while every unfinished worker is
+     * parked. Stragglers then land, and `fin` must hold. The fleet
+     * leaves, the last worker without `bye` (a reset cutting its final
+     * fetch): the --once core must hold its rejoin window open while
+     * that worker comes back, fetches its ledgers whole and leaves, then
+     * end once the window passes. Last, the store must hold every needed
+     * episode exactly once.
      */
     void drain()
     {
@@ -1138,7 +1149,6 @@ class Sim
             if (round == 200)
                 return fail("a worker never got fin");
             bool all = true;
-            double sleep = 0.001;
             for (Worker& w : workers_) {
                 while (!w.held.empty())
                     decide(w, Fate::Complete);
@@ -1149,20 +1159,20 @@ class Sim
                 if (w.fin)
                     continue;
                 all = false;
-                if (ask(w))
-                    sleep = waitMs_ / 1000.0;
-                else if (!w.held.empty())
-                    decide(w, Fate::Complete);
+                if (!w.parked)
+                    ask(w);
             }
             if (all)
                 break;
-            now_ += sleep;
-            tick();
+            if (std::all_of(workers_.begin(), workers_.end(),
+                            [](const Worker& w) { return w.fin || w.parked; })) {
+                now_ += kTimeout / 4;
+                tick();
+            }
         }
         for (Worker& w : workers_) {
             straggle(w);
-            ask(w);
-            if (!w.fin)
+            if (ask(w) != "fin")
                 fail(w.id + " lost fin to a straggler");
         }
         if (!failure_.empty() || finished_)
@@ -1178,8 +1188,7 @@ class Sim
         if (finished_)
             return; // tick() reported the early end
         connect(last);
-        ask(last);
-        if (!last.fin)
+        if (ask(last) != "fin")
             fail(last.id + " rejoined and got no fin");
         for (const auto& [fp, need] : last.needs)
             fetch(last, fp, need);
@@ -1224,7 +1233,11 @@ class Sim
     }
 
     /** The core's expiry, mirrored: a range of an incomplete ledger
-     *  outstanding longer than the timeout is live no more. */
+     *  outstanding longer than the timeout is live no more. The core
+     *  expires at each dispatch -- every `req`, and every event that
+     *  ends with a parked request -- and only a parked request can tell
+     *  an unexpired range from an expired one, so the mirror expires at
+     *  every event. */
     void expire()
     {
         live_.erase(std::remove_if(live_.begin(), live_.end(),
@@ -1235,13 +1248,12 @@ class Sim
                     live_.end());
     }
 
-    /** Deliver `rec` from `w`; check and return the core's replies. */
+    /** Deliver `rec` from `w`; returns the frames sent to `w`. */
     std::vector<JsonRecord> send(Worker& w, JsonRecord rec)
     {
         std::string verb;
         coordwire::isControl(rec, &verb);
-        if (verb == "req")
-            expire(); // dispatch expires first
+        expire();
         if (verb == "done")
             for (auto r = live_.begin(); r != live_.end(); ++r)
                 if (r->conn == w.conn && r->fp == rec.text("fp") &&
@@ -1250,12 +1262,66 @@ class Sim
                     live_.erase(r);
                     break;
                 }
-        std::vector<JsonRecord> out;
+        std::vector<CoordCore::Frame> out;
         core_.receive(w.conn, std::move(rec), now_, out);
-        for (const JsonRecord& r : out)
-            if (coordwire::isControl(r, &verb) && verb == "range")
-                checkRange(w, r);
-        return out;
+        return route(out, w.conn);
+    }
+
+    /** Hand each frame to the worker on its connection (a range is
+     *  checked as it is handed out); returns those sent to `conn`. */
+    std::vector<JsonRecord> route(std::vector<CoordCore::Frame>& out,
+                                  int conn = -1)
+    {
+        std::vector<JsonRecord> mine;
+        for (CoordCore::Frame& f : out) {
+            const auto w =
+                std::find_if(workers_.begin(), workers_.end(),
+                             [&](const Worker& x) { return x.conn == f.conn; });
+            if (w == workers_.end()) {
+                fail("a frame was sent to closed connection " +
+                     std::to_string(f.conn));
+                continue;
+            }
+            std::string verb;
+            coordwire::isControl(f.rec, &verb);
+            w->parked = false;
+            w->fin = w->fin || verb == "fin";
+            if (verb == "range") {
+                checkRange(*w, f.rec);
+                w->held.push_back(live_.back()); // checkRange's record
+            }
+            if (f.conn == conn)
+                mine.push_back(std::move(f.rec));
+        }
+        checkParked();
+        return mine;
+    }
+
+    /** No worker is parked while an episode of a ledger it declared is
+     *  neither stored nor in a live range, or once every ledger it
+     *  declared is complete: the event that frees work answers it. */
+    void checkParked()
+    {
+        for (const Worker& w : workers_) {
+            if (!w.parked)
+                continue;
+            bool missing = false;
+            for (const std::string& fp : w.declared)
+                for (int i = 0; i < maxNeed_.at(fp); ++i) {
+                    if (stored(fp, i))
+                        continue;
+                    missing = true;
+                    if (std::none_of(live_.begin(), live_.end(),
+                                     [&](const Range& r) {
+                                         return r.fp == fp && i >= r.start &&
+                                                i < r.start + r.count;
+                                     }))
+                        return fail(w.id + " is parked while " +
+                                    sweepEpisodeKey(fp, i) + " is free");
+                }
+            if (!missing && !w.declared.empty())
+                return fail(w.id + " is parked with its ledgers complete");
+        }
     }
 
     void checkRange(const Worker& w, const JsonRecord& r)
@@ -1281,20 +1347,18 @@ class Sim
         live_.push_back(got);
     }
 
-    /** Ask for a range; true when told to wait. */
-    bool ask(Worker& w)
+    /** Ask for a range: the verb that answers at once, or "" when the
+     *  request parks. */
+    std::string ask(Worker& w)
     {
-        for (const JsonRecord& r : send(w, coordwire::control("req"))) {
-            std::string verb;
-            coordwire::isControl(r, &verb);
-            if (verb == "range")
-                w.held.push_back(live_.back()); // checkRange's record
-            w.fin = verb == "fin";
-            w.waiting = verb == "wait";
-            if (w.waiting)
-                waitMs_ = coordwire::wireInt(r, "ms");
-        }
-        return w.waiting;
+        const std::vector<JsonRecord> got =
+            send(w, coordwire::control("req"));
+        std::string verb;
+        if (!got.empty())
+            coordwire::isControl(got.back(), &verb);
+        w.parked = got.empty();
+        checkParked();
+        return verb;
     }
 
     void episodes(Worker& w, const Range& r, int n, bool twice)
@@ -1377,20 +1441,24 @@ class Sim
     {
         if (bye)
             send(w, coordwire::control("bye"));
-        core_.close(w.conn, bye ? "bye" : "reset", now_);
+        const int conn = w.conn;
         live_.erase(std::remove_if(live_.begin(), live_.end(),
                                    [&](const Range& r) {
-                                       return r.conn == w.conn;
+                                       return r.conn == conn;
                                    }),
                     live_.end());
         if (!bye)
             lastReset_ = now_;
         w.conn = -1;
         w.bye = bye;
-        w.waiting = w.fin = false;
+        w.parked = w.fin = false;
         w.declared.clear();
         w.held.clear();
         w.hung.clear();
+        expire();
+        std::vector<CoordCore::Frame> out;
+        core_.close(conn, bye ? "bye" : "reset", now_, out);
+        route(out);
     }
 
     void fetch(Worker& w, const std::string& fp, int need)
@@ -1415,7 +1483,10 @@ class Sim
         if (finished_)
             return;
         expire();
-        if (!core_.tick(now_))
+        std::vector<CoordCore::Frame> out;
+        const bool over = core_.tick(now_, out);
+        route(out);
+        if (!over)
             return;
         finished_ = true;
         for (const auto& [fp, need] : maxNeed_)
@@ -1453,7 +1524,6 @@ class Sim
     std::map<std::string, int> maxNeed_; //!< deepest need declared
     std::vector<Range> live_; //!< the core's live assignments, mirrored
     int nextConn_ = 0;
-    int waitMs_ = 0;
     double lastReset_ = -1e9; //!< last close without `bye`
     bool finished_ = false;
     std::string failure_;
@@ -1509,12 +1579,28 @@ struct Rig
         core = std::make_unique<CoordCore>(opt, store, now);
     }
 
-    /** `rec` from `conn`; the replies, transcribed. */
+    /** `out` transcribed, each line prefixed by its connection. */
+    static std::string transcript(const std::vector<CoordCore::Frame>& out)
+    {
+        std::string lines;
+        std::vector<JsonRecord> frames; // up to the next control frame
+        for (const CoordCore::Frame& f : out) {
+            frames.push_back(f.rec);
+            if (!coordwire::isControl(f.rec))
+                continue;
+            lines += (lines.empty() ? "" : "\n") + std::to_string(f.conn) +
+                     " " + transcribe(frames);
+            frames.clear();
+        }
+        return lines;
+    }
+
+    /** `rec` from `conn`; the frames sent, transcribed. */
     std::string send(int conn, JsonRecord rec)
     {
-        std::vector<JsonRecord> out;
+        std::vector<CoordCore::Frame> out;
         core->receive(conn, std::move(rec), now, out);
-        return transcribe(out);
+        return transcript(out);
     }
 
     std::string ask(int conn) { return send(conn, coordwire::control("req")); }
@@ -1543,11 +1629,25 @@ struct Rig
         return send(conn, ledgerControl("fetch", fp, {{"need", need}}));
     }
 
-    void leave(int conn, bool bye)
+    /** `conn` closes; the frames sent, transcribed. */
+    std::string leave(int conn, bool bye)
     {
         if (bye)
             send(conn, coordwire::control("bye"));
-        core->close(conn, bye ? "bye" : "reset", now);
+        std::vector<CoordCore::Frame> out;
+        core->close(conn, bye ? "bye" : "reset", now, out);
+        return transcript(out);
+    }
+
+    /** The core's tick at `t`: true when a --once campaign is over. The
+     *  frames sent, transcribed, go to `sent`. */
+    bool tick(double t, std::string* sent = nullptr)
+    {
+        std::vector<CoordCore::Frame> out;
+        const bool over = core->tick(t, out);
+        if (sent)
+            *sent = transcript(out);
+        return over;
     }
 
     double now = 0.0;
@@ -1671,15 +1771,15 @@ TEST(CoordSim, RedispatchesADeserter)
     // range assigned was completed or re-dispatched.
     sim::Rig rig(2, false);
     rig.connect(0, "deserter", "a", 4);
-    EXPECT_EQ(rig.ask(0), "range a 0+2");
-    rig.leave(0, false);
+    EXPECT_EQ(rig.ask(0), "0 range a 0+2");
+    EXPECT_EQ(rig.leave(0, false), "");
     EXPECT_EQ(rig.core->rangesRedispatched(), 1);
     rig.connect(1, "worker", "a", 4);
-    EXPECT_EQ(rig.ask(1), "range a 0+2");
+    EXPECT_EQ(rig.ask(1), "1 range a 0+2");
     rig.run(1, "a", 0, 2);
-    EXPECT_EQ(rig.ask(1), "range a 2+2");
+    EXPECT_EQ(rig.ask(1), "1 range a 2+2");
     rig.run(1, "a", 2, 2);
-    EXPECT_EQ(rig.ask(1), "fin");
+    EXPECT_EQ(rig.ask(1), "1 fin");
     rig.core->putTelemetry();
     const auto& view = rig.store.records();
     const JsonRecord& d = view.at(sweepWorkerKey("deserter"));
@@ -1704,22 +1804,22 @@ TEST(CoordSim, OnceWaitsForAWorkerThatDroppedWithoutBye)
         sim::Rig rig(16, true);
         rig.connect(0, "w0", "a", 1);
         rig.connect(1, "w1", "a", 1);
-        EXPECT_EQ(rig.ask(0), "range a 0+1");
+        EXPECT_EQ(rig.ask(0), "0 range a 0+1");
         rig.run(0, "a", 0, 1);
-        EXPECT_EQ(rig.ask(1), "fin");
+        EXPECT_EQ(rig.ask(1), "1 fin");
         rig.leave(0, true);
         rig.now = 1.0;
         rig.leave(1, !reset);
-        EXPECT_EQ(rig.core->tick(1.0), !reset);
+        EXPECT_EQ(rig.tick(1.0), !reset);
         if (!reset)
             continue;
-        EXPECT_FALSE(rig.core->tick(1.5));
+        EXPECT_FALSE(rig.tick(1.5));
         rig.now = 1.5;
         rig.connect(2, "w1", "a", 1);
-        EXPECT_EQ(rig.fetch(2, "a", 1), "fetched 1");
+        EXPECT_EQ(rig.fetch(2, "a", 1), "2 fetched 1");
         rig.leave(2, true);
-        EXPECT_FALSE(rig.core->tick(2.99)); // the window runs from 1.0
-        EXPECT_TRUE(rig.core->tick(3.0));
+        EXPECT_FALSE(rig.tick(2.99)); // the window runs from 1.0
+        EXPECT_TRUE(rig.tick(3.0));
     }
 }
 
@@ -1740,13 +1840,84 @@ TEST(CoordSim, RestartedOnceCoreWaitsForItsFleet)
             stored.push_back(makeRecord(sweepWorkerKey("a:1.1"), 0.0));
         sim::Rig rig(16, true, stored);
         rig.connect(0, "a:1.1", "v2|r", 2);
-        EXPECT_EQ(rig.fetch(0, "v2|r", 2), "fetched 2");
-        EXPECT_EQ(rig.ask(0), "fin");
+        EXPECT_EQ(rig.fetch(0, "v2|r", 2), "0 fetched 2");
+        EXPECT_EQ(rig.ask(0), "0 fin");
         rig.leave(0, true);
-        EXPECT_EQ(rig.core->tick(0.1), !fleet);
+        EXPECT_EQ(rig.tick(0.1), !fleet);
         if (!fleet)
             continue;
-        EXPECT_FALSE(rig.core->tick(3.99));
-        EXPECT_TRUE(rig.core->tick(4.0));
+        EXPECT_FALSE(rig.tick(3.99));
+        EXPECT_TRUE(rig.tick(4.0));
     }
+}
+
+TEST(CoordSim, ParkedRequestIsAnsweredByTheEventThatFreesWork)
+{
+    // w0 holds all of ledger a when w1 asks: no frame answers, and w1's
+    // request parks. Each event that frees work answers it within that
+    // same event: the episode that completes the ledger sends `fin`; the
+    // holder's reset and the holder's timeout send the re-pooled range;
+    // a deeper need, declared by another worker, sends a range of the
+    // new episodes.
+    const auto parked = [](sim::Rig& rig) {
+        rig.connect(0, "w0", "a", 2);
+        EXPECT_EQ(rig.ask(0), "0 range a 0+2");
+        rig.connect(1, "w1", "a", 2);
+        EXPECT_EQ(rig.ask(1), "");
+    };
+    {
+        SCOPED_TRACE("the episode that completes the last range");
+        sim::Rig rig(2, false);
+        parked(rig);
+        EXPECT_EQ(rig.send(0, makeRecord(sweepEpisodeKey("a", 0), 0.0)), "");
+        EXPECT_EQ(rig.send(0, makeRecord(sweepEpisodeKey("a", 1), 1.0)),
+                  "1 fin");
+    }
+    {
+        SCOPED_TRACE("the holder's reset");
+        sim::Rig rig(2, false);
+        parked(rig);
+        EXPECT_EQ(rig.leave(0, false), "1 range a 0+2");
+    }
+    {
+        SCOPED_TRACE("the holder's timeout");
+        sim::Rig rig(2, false);
+        parked(rig);
+        std::string sent;
+        testing::internal::CaptureStderr(); // the timeout's log line
+        EXPECT_FALSE(rig.tick(30.0, &sent)); // the default 30 s timeout
+        EXPECT_EQ(sent, "");
+        EXPECT_FALSE(rig.tick(30.5, &sent));
+        testing::internal::GetCapturedStderr();
+        EXPECT_EQ(sent, "1 range a 0+1"); // w0 is still connected
+    }
+    {
+        SCOPED_TRACE("another worker's deeper need");
+        sim::Rig rig(2, false);
+        parked(rig);
+        EXPECT_EQ(rig.send(0, ledgerControl("need", "a", {{"need", 4}})),
+                  "1 range a 2+1");
+    }
+}
+
+TEST(CoordSim, RequestAfterAMalformedNeedParks)
+{
+    // The core's half of Coordinator.DropsFramesWithMalformedIntegers: a
+    // malformed `need` is dropped, so the request after it finds nothing
+    // declared and parks, and the valid need that follows answers it.
+    sim::Rig rig(16, false);
+    rig.core->open(0);
+    JsonRecord hello = coordwire::control("hello");
+    hello.strings.emplace_back("worker", "crafted");
+    EXPECT_EQ(rig.send(0, std::move(hello)), "");
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    for (const double bad :
+         {nan, -1.0, 0.0, 2.5, coordwire::kMaxWireInt + 1.0, 1e300}) {
+        EXPECT_EQ(rig.send(0, ledgerControl("need", "a", {{"need", bad}})),
+                  "")
+            << bad;
+        EXPECT_EQ(rig.ask(0), "") << bad;
+    }
+    EXPECT_EQ(rig.send(0, ledgerControl("need", "a", {{"need", 2}})),
+              "0 range a 0+2");
 }

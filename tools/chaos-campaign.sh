@@ -31,8 +31,12 @@
 #                 or --range-timeout) and the coordinator re-dispatches
 #                 the missing episode indices to the survivor.
 #   4. connreset  CREATE_CHAOS connreset= severs coordinator-wire sends
-#                 mid-frame on the workers; every reset must heal by
-#                 reconnect + re-send (duplicates merge idempotently).
+#                 mid-frame on both sides: the workers' (episodes, requests)
+#                 and the coordinator's (the ranges and `fin`s it pushes to
+#                 parked requests, fetch replies). A severed coordinator
+#                 send drops that connection and re-pools its ranges; every
+#                 reset must heal by reconnect + re-send (duplicates merge
+#                 idempotently).
 #   5. coord kill the coordinator itself is kill -9'd mid-campaign and
 #                 restarted on the same port + store: it salvages the
 #                 store, re-learns progress from the have-bitmap, and
@@ -153,8 +157,11 @@ grep "episodes ingested" "$work/coord.log" | tail -1 || true
 "$diff" "$work/serial.json" "$work/sock.store"
 "$stats" "$work/sock.store" | sed -n '/Per-worker/,/^$/p'
 
-echo "== leg 4: connreset storm on socket workers (CREATE_CHAOS connreset=0.05)"
+echo "== leg 4: connreset storm on the coordinator and its workers (CREATE_CHAOS connreset=0.05)"
+: > "$work/coord.log" # only this leg's coordinator resets are counted
+export CREATE_CHAOS="connreset=0.05" CREATE_CHAOS_SEED=20260810
 start_coordinator "$work/reset.store"
+unset CREATE_CHAOS CREATE_CHAOS_SEED
 CREATE_CHAOS="connreset=0.05" CREATE_CHAOS_SEED=20260808 \
     "$fig13" --reps "$reps" --connect "127.0.0.1:$port" \
     > /dev/null 2> "$work/reset-w1.log" &
@@ -175,9 +182,10 @@ if ! wait "$coord_pid"; then
 fi
 resets=$(cat "$work/reset-w1.log" "$work/reset-w2.log" |
     grep -c "\[chaos\] connreset" || true)
-echo "   injected $resets connection resets"
-if [ "${resets:-0}" -eq 0 ]; then
-    echo "FAIL: connreset chaos never fired; the leg is vacuous"
+coord_resets=$(grep -c "\[chaos\] connreset" "$work/coord.log" || true)
+echo "   injected $resets worker-side and $coord_resets coordinator-side connection resets"
+if [ "${resets:-0}" -eq 0 ] || [ "${coord_resets:-0}" -eq 0 ]; then
+    echo "FAIL: connreset chaos never fired on one side; the leg is vacuous"
     exit 1
 fi
 "$diff" "$work/serial.json" "$work/reset.store"
