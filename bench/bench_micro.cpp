@@ -46,21 +46,43 @@ using namespace create;
 
 namespace {
 
+/**
+ * The dispatched kernel on an m x k x n GEMM, called the way faultyLinear
+ * calls it: the weight is packed once, outside the timed loop, as
+ * QuantGemmState::freeze does.
+ */
+void
+BM_IntGemm(benchmark::State& state, std::int64_t m, std::int64_t k,
+           std::int64_t n)
+{
+    std::vector<std::int8_t> x(static_cast<std::size_t>(m * k), 3);
+    std::vector<std::int8_t> w(static_cast<std::size_t>(k * n), -2);
+    std::vector<std::int32_t> acc(static_cast<std::size_t>(m * n));
+    std::vector<std::int8_t> packed;
+    simd::packWeights(w.data(), k, n, packed);
+    const simd::KernelTable& kernels = simd::active();
+    for (auto _ : state) {
+        std::fill(acc.begin(), acc.end(), 0);
+        kernels.intGemm(x.data(), m, k, packed.data(), n, acc.data());
+        benchmark::DoNotOptimize(acc.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() * m * k * n);
+}
+
 void
 BM_IntGemm(benchmark::State& state)
 {
     const auto n = static_cast<std::int64_t>(state.range(0));
-    std::vector<std::int8_t> x(static_cast<std::size_t>(n * n), 3);
-    std::vector<std::int8_t> w(static_cast<std::size_t>(n * n), -2);
-    std::vector<std::int32_t> acc(static_cast<std::size_t>(n * n));
-    for (auto _ : state) {
-        std::fill(acc.begin(), acc.end(), 0);
-        intGemm(x.data(), n, n, w.data(), n, acc.data());
-        benchmark::DoNotOptimize(acc.data());
-    }
-    state.SetItemsProcessed(state.iterations() * n * n * n);
+    BM_IntGemm(state, n, n, n);
 }
 BENCHMARK(BM_IntGemm)->Arg(32)->Arg(64)->Arg(128);
+// The shapes that dominate an episode's GEMM time (m x k x n): the Mine
+// controller's fc1 over its 3 tokens, the planner's gate/up projections
+// over 14 tokens, and the VS predictor's first conv (576 im2col rows).
+BENCHMARK_CAPTURE(BM_IntGemm, 3x48x144, 3, 48, 144);
+BENCHMARK_CAPTURE(BM_IntGemm, 14x64x192, 14, 64, 192);
+BENCHMARK_CAPTURE(BM_IntGemm, 576x27x16, 576, 27, 16);
 
 void
 BM_Injection(benchmark::State& state)

@@ -111,8 +111,10 @@ struct GemmWorkspace
  * records each GEMM's shape. When a context carries a sink, the hot path
  * hands the (already quantized) GEMM to it instead of calling the
  * dispatched kernel. The contract is create::intGemm over a zero-filled
- * `acc`: the sink must leave exactly the int32 GEMM sums there, so
- * routing through a sink never changes results (test_hotpath_golden).
+ * `acc` and a row-major `wq` (QuantGemmState keeps its row-major copy
+ * for sinks alone; the kernels read the packed one): the sink must leave
+ * exactly the int32 GEMM sums there, so routing through a sink never
+ * changes results (test_hotpath_golden).
  */
 class IntGemmSink
 {

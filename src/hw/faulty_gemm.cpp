@@ -46,6 +46,7 @@ QuantGemmState::freeze(const Tensor& w, const Tensor* bias,
         wQ = QuantParams::fromAbsMax(w.absMax(), bits);
         wq = quantize(w, wQ);
     }
+    simd::packWeights(wq.data(), w.dim(0), w.dim(1), wPacked);
     hasBias = bias != nullptr;
     biasEff.clear();
     if (bias) {
@@ -66,6 +67,7 @@ QuantGemmState::invalidate()
 {
     frozen = false;
     wq.clear();
+    wPacked.clear();
     biasEff.clear();
     hasBias = false;
     inObs.reset();
@@ -84,7 +86,9 @@ intGemm(const std::int8_t* xq, std::int64_t m, std::int64_t k,
     // golden-reference test suite asserts). Kernel variants live in
     // src/hw/kernels_*.cpp; selection is CPUID-driven with a
     // CREATE_FORCE_ISA override (see hw/kernel_dispatch.hpp).
-    simd::active().intGemm(xq, m, k, wq, n, acc);
+    thread_local std::vector<std::int8_t> packed;
+    simd::packWeights(wq, k, n, packed);
+    simd::active().intGemm(xq, m, k, packed.data(), n, acc);
 }
 
 Tensor
@@ -141,12 +145,13 @@ faultyLinear(const Tensor& x, const Tensor& w, const Tensor* bias,
     std::vector<std::int32_t>& gemmDst = needClean ? ws.cleanAcc : ws.acc;
     gemmDst.assign(cnt, 0);
     // A context-carried sink (perfbench's shape recorder) takes the GEMM
-    // when present; both paths honor the same accumulate contract.
+    // over the row-major weight when present; both paths honor the same
+    // accumulate contract.
     if (ctx.gemmSink)
         ctx.gemmSink->gemm(ws.xq.data(), m, k, st.wq.data(), n,
                            gemmDst.data());
     else
-        simd::active().intGemm(ws.xq.data(), m, k, st.wq.data(), n,
+        simd::active().intGemm(ws.xq.data(), m, k, st.wPacked.data(), n,
                                gemmDst.data());
     ctx.meter.addGemm(ctx.domain, gemmMacs, ctx.voltage());
 

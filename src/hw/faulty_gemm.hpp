@@ -37,7 +37,13 @@ struct QuantGemmState
     QuantParams inQ;        //!< frozen activation scale
     QuantParams wQ;         //!< frozen weight scale
     float outBound = 0.0f;  //!< AD valid |y| bound (0 = unknown -> no clamp)
-    std::vector<std::int8_t> wq; //!< cached quantized weights (row-major KxN)
+    /** Quantized weights, row-major KxN: kept only for IntGemmSinks,
+     *  whose contract hands them row-major weights. */
+    std::vector<std::int8_t> wq;
+    /** wq in the kernels' packed K-pair layout (simd::packWeights): what
+     *  every frozen call multiplies. Read-only once frozen, so threads
+     *  share it like wq. */
+    std::vector<std::int8_t> wPacked;
     std::vector<float> biasEff;  //!< cached bias with channel scale folded in
     bool hasBias = false;
     bool frozen = false;
@@ -45,7 +51,8 @@ struct QuantGemmState
     /**
      * Derive scales from observers (or the weight itself) and cache the
      * deployed weight/bias: wq is quantized from w with the optional
-     * per-output-channel scale folded in, biasEff is bias * outScale.
+     * per-output-channel scale folded in and packed once into wPacked,
+     * biasEff is bias * outScale.
      */
     void freeze(const Tensor& w, const Tensor* bias, const Tensor* outScale,
                 QuantBits bits);
@@ -79,7 +86,13 @@ Tensor faultyLinear(const Tensor& x, const Tensor& w, const Tensor* bias,
                     QuantGemmState& st, ComputeContext& ctx,
                     const std::string& tag, const Tensor* outScale = nullptr);
 
-/** Integer GEMM helper: acc(MxN) += xq(MxK) @ wq(KxN), int32 accumulators. */
+/**
+ * Integer GEMM helper: acc(MxN) += xq(MxK) @ wq(KxN), int32 accumulators,
+ * over a row-major weight. It packs wq into a per-thread buffer on every
+ * call and then runs the dispatched kernel, so it is for tests,
+ * microbenchmarks and IntGemmSinks; faultyLinear multiplies the packed
+ * copy frozen in QuantGemmState instead.
+ */
 void intGemm(const std::int8_t* xq, std::int64_t m, std::int64_t k,
              const std::int8_t* wq, std::int64_t n, std::int32_t* acc);
 

@@ -98,6 +98,23 @@ initOnce()
 
 } // namespace
 
+void
+packWeights(const std::int8_t* wq, std::int64_t k, std::int64_t n,
+            std::vector<std::int8_t>& out)
+{
+    const std::int64_t cols = packedCols(n);
+    out.resize(static_cast<std::size_t>((k + 1) / 2 * 2 * cols));
+    std::int8_t* dst = out.data();
+    for (std::int64_t kk = 0; kk < k; kk += 2) {
+        const std::int8_t* w0 = wq + kk * n;
+        const std::int8_t* w1 = kk + 1 < k ? w0 + n : nullptr;
+        for (std::int64_t j = 0; j < cols; ++j, dst += 2) {
+            dst[0] = j < n ? w0[j] : 0;
+            dst[1] = j < n && w1 ? w1[j] : 0;
+        }
+    }
+}
+
 const KernelTable&
 active()
 {

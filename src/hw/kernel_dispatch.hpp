@@ -2,7 +2,8 @@
 
 /**
  * @file
- * Runtime SIMD kernel dispatch for the integer inference hot path.
+ * Runtime SIMD kernel dispatch for the integer inference hot path, and
+ * the packed weight layout its integer GEMM reads.
  *
  * The three data-plane kernels every episode spends its cycles in --
  * intGemm (int8 GEMM into int32 accumulators), activation quantization,
@@ -14,6 +15,14 @@
  * `CREATE_FORCE_ISA` environment variable (scalar | sse2 | avx2 |
  * avx512vnni) pins the choice for testing and for the CI leg that keeps
  * the SSE2 fallback exercised on AVX-capable runners.
+ *
+ * Packed weights: every tier's intGemm reads the weight in one K-pair
+ * layout, built once per frozen layer by packWeights() (see
+ * QuantGemmState::freeze). For K pair q and column j it holds the two
+ * bytes (w[2q][j], w[2q+1][j]) side by side, so one sign-extending load
+ * yields the int16 pairs a `pmaddwd`/`vpdpwssd` multiplies against a
+ * broadcast activation pair. An odd K is zero-padded, and N is padded to
+ * whole kPackPanel-column panels, so every tier loads whole panels.
  *
  * Every variant is bit-identical by construction: integer accumulation
  * is exact in any summation order, quantization rounds with the same
@@ -35,18 +44,40 @@ enum class Isa
 {
     Scalar = 0,     //!< portable C++ (any architecture)
     Sse2 = 1,       //!< paired-K pmaddwd (the golden reference kernel)
-    Avx2 = 2,       //!< 16-column pmaddwd, 4-row register blocking
-    Avx512Vnni = 3, //!< vpdpwssd, 32-column x 4-row register blocking
+    Avx2 = 2,       //!< paired-K pmaddwd, 16-column x 4-row tiles
+    Avx512Vnni = 3, //!< vpdpwssd, 32-column x 4-row (or 16 x 8) tiles
 };
+
+/** Columns per panel of the packed layout: N is padded to a multiple. */
+constexpr std::int64_t kPackPanel = 16;
+
+/** Padded column count of a packed weight with `n` columns. */
+constexpr std::int64_t
+packedCols(std::int64_t n)
+{
+    return (n + kPackPanel - 1) / kPackPanel * kPackPanel;
+}
+
+/**
+ * Pack a row-major K x N int8 weight into the K-pair layout every tier's
+ * intGemm reads: out[(q * packedCols(n) + j) * 2 + h] = w[2q + h][j],
+ * zero where 2q + h >= K or j >= N, for (K + 1) / 2 pairs q. Resizes
+ * `out` to fit.
+ */
+void packWeights(const std::int8_t* wq, std::int64_t k, std::int64_t n,
+                 std::vector<std::int8_t>& out);
 
 /** One ISA's kernel set. All variants produce bit-identical results. */
 struct KernelTable
 {
     Isa isa = Isa::Scalar;
 
-    /** acc(MxN) += xq(MxK) @ wq(KxN), exact int32 accumulation. */
+    /**
+     * acc(MxN) += xq(MxK) @ w(KxN), exact int32 accumulation. `wp` is w
+     * in the packed K-pair layout (packWeights), not row-major.
+     */
     void (*intGemm)(const std::int8_t* xq, std::int64_t m, std::int64_t k,
-                    const std::int8_t* wq, std::int64_t n,
+                    const std::int8_t* wp, std::int64_t n,
                     std::int32_t* acc) = nullptr;
 
     /**

@@ -1,26 +1,17 @@
-/** @file AVX2 kernels: 16-column pmaddwd int-GEMM with 4-row register
- *  blocking, 8-wide quantization, 8-wide absmax.
+/** @file AVX2 kernels: paired-K vpmaddwd int-GEMM on packed weights,
+ *  8-wide quantization, 8-wide absmax.
  *
  *  This TU is compiled with -mavx2 (attached per-file by CMake); when the
  *  compiler cannot target AVX2 the functions degrade to delegating
  *  wrappers and avx2KernelsCompiled() reports false so the dispatcher
  *  never registers the tier.
  *
- *  GEMM scheme: like the SSE2 golden kernel, K rows are fused in pairs --
- *  weights of rows kk/kk+1 are widened to int16 and interleaved so
- *  pmaddwd against the broadcast activation pair (x[kk], x[kk+1])
- *  produces per-column two-term partial sums in int32 lanes. The AVX2
- *  wrinkle is that vpunpck[lh]wd interleave within each 128-bit lane, so
- *  a 16-column block's madd results arrive in the permuted column order
- *  {0-3, 8-11} / {4-7, 12-15}. Instead of shuffling every iteration, the
- *  two accumulator vectors are kept in that permuted layout for the whole
- *  K loop and swapped back with one vperm2i128 pair on load and store --
- *  integer addition commutes, so this is exact.
- *
- *  Row blocking: quads of rows share each widened weight load (the GEMM
- *  is load-port-bound, and the weight stream is the dominant operand), so
- *  fusing rows -- exactly what the cross-episode batcher does -- raises
- *  MACs per issued uop. A single-row loop covers the remainder.
+ *  GEMM scheme: the SSE2 golden kernel's at twice the width. One vpmovsxbw
+ *  of 16 packed bytes yields the int16 pairs (w[2q][j], w[2q+1][j]) of 8
+ *  consecutive columns in natural order, and vpmaddwd against the
+ *  broadcast activation pair sums each column's two terms in an int32
+ *  lane. Tiles are 4 rows x 16 columns (8 accumulators of the 16 ymm
+ *  registers); see simd_gemm_common.hpp for the row blocking.
  */
 
 #include "hw/simd_kernels.hpp"
@@ -37,46 +28,52 @@ namespace create::simd::detail {
 
 namespace {
 
-using detail::gemmRowTailColsSse2;
-using detail::xPairI32;
-
-/** Widened, pairwise-interleaved weights for 16 columns of rows kk/kk+1:
- *  lo covers columns {0-3, 8-11} of the block, hi covers {4-7, 12-15}. */
-inline void
-widenPair16(const std::int8_t* w0p, const std::int8_t* w1p, __m256i& lo,
-            __m256i& hi)
+/** R rows x P vectors of 8 columns (see gemmRows for the contract). */
+struct Avx2Tile
 {
-    const __m256i w0 = _mm256_cvtepi8_epi16(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(w0p)));
-    const __m256i w1 =
-        w1p ? _mm256_cvtepi8_epi16(
-                  _mm_loadu_si128(reinterpret_cast<const __m128i*>(w1p)))
-            : _mm256_setzero_si256();
-    lo = _mm256_unpacklo_epi16(w0, w1);
-    hi = _mm256_unpackhi_epi16(w0, w1);
-}
+    static constexpr std::int64_t kV = 8;
+    static constexpr bool kEightRows = false;
 
-/** Load a 16-column accumulator block into the permuted {A, B} layout. */
-inline void
-loadAcc16(const std::int32_t* crow, __m256i& accA, __m256i& accB)
-{
-    const __m256i a =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(crow));
-    const __m256i b =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(crow + 8));
-    accA = _mm256_permute2x128_si256(a, b, 0x20); // cols {0-3, 8-11}
-    accB = _mm256_permute2x128_si256(a, b, 0x31); // cols {4-7, 12-15}
-}
-
-/** Store the permuted {A, B} accumulators back in natural column order. */
-inline void
-storeAcc16(std::int32_t* crow, __m256i accA, __m256i accB)
-{
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(crow),
-                        _mm256_permute2x128_si256(accA, accB, 0x20));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(crow + 8),
-                        _mm256_permute2x128_si256(accA, accB, 0x31));
-}
+    template <int R, int P>
+    static void run(const std::int32_t* xw, std::int64_t pairs,
+                    const std::int8_t* wp, std::int64_t stride,
+                    std::int32_t* c, std::int64_t ldc, std::int64_t cols)
+    {
+        raggedTile<R, P * kV>(c, ldc, cols, [&](std::int32_t* t,
+                                                std::int64_t ldt) {
+            __m256i a[R][P];
+            #pragma GCC unroll 8
+            for (int r = 0; r < R; ++r)
+                #pragma GCC unroll 8
+                for (int p = 0; p < P; ++p)
+                    a[r][p] = _mm256_loadu_si256(
+                        reinterpret_cast<const __m256i*>(t + r * ldt + 8 * p));
+            for (std::int64_t q = 0; q < pairs; ++q) {
+                __m256i wv[P];
+                #pragma GCC unroll 8
+                for (int p = 0; p < P; ++p)
+                    wv[p] = _mm256_cvtepi8_epi16(
+                        _mm_loadu_si128(reinterpret_cast<const __m128i*>(
+                            wp + q * stride + 16 * p)));
+                #pragma GCC unroll 8
+                for (int r = 0; r < R; ++r) {
+                    const __m256i xp = _mm256_set1_epi32(xw[r * pairs + q]);
+                    #pragma GCC unroll 8
+                    for (int p = 0; p < P; ++p)
+                        a[r][p] = _mm256_add_epi32(
+                            a[r][p], _mm256_madd_epi16(wv[p], xp));
+                }
+            }
+            #pragma GCC unroll 8
+            for (int r = 0; r < R; ++r)
+                #pragma GCC unroll 8
+                for (int p = 0; p < P; ++p)
+                    _mm256_storeu_si256(
+                        reinterpret_cast<__m256i*>(t + r * ldt + 8 * p),
+                        a[r][p]);
+        });
+    }
+};
 
 } // namespace
 
@@ -88,85 +85,9 @@ avx2KernelsCompiled()
 
 void
 intGemmAvx2(const std::int8_t* xq, std::int64_t m, std::int64_t k,
-            const std::int8_t* wq, std::int64_t n, std::int32_t* acc)
+            const std::int8_t* wp, std::int64_t n, std::int32_t* acc)
 {
-    std::int64_t i = 0;
-    for (; i + 4 <= m; i += 4) { // 4-row quads share every weight load
-        const std::int8_t* x0 = xq + (i + 0) * k;
-        const std::int8_t* x1 = xq + (i + 1) * k;
-        const std::int8_t* x2 = xq + (i + 2) * k;
-        const std::int8_t* x3 = xq + (i + 3) * k;
-        std::int32_t* c0 = acc + (i + 0) * n;
-        std::int32_t* c1 = acc + (i + 1) * n;
-        std::int32_t* c2 = acc + (i + 2) * n;
-        std::int32_t* c3 = acc + (i + 3) * n;
-        std::int64_t j0 = 0;
-        for (; j0 + 16 <= n; j0 += 16) {
-            __m256i a0A, a0B, a1A, a1B, a2A, a2B, a3A, a3B;
-            loadAcc16(c0 + j0, a0A, a0B);
-            loadAcc16(c1 + j0, a1A, a1B);
-            loadAcc16(c2 + j0, a2A, a2B);
-            loadAcc16(c3 + j0, a3A, a3B);
-            for (std::int64_t kk = 0; kk < k; kk += 2) {
-                const std::int32_t p0 = xPairI32(x0, kk, k);
-                const std::int32_t p1 = xPairI32(x1, kk, k);
-                const std::int32_t p2 = xPairI32(x2, kk, k);
-                const std::int32_t p3 = xPairI32(x3, kk, k);
-                if ((p0 | p1 | p2 | p3) == 0)
-                    continue;
-                __m256i lo, hi;
-                widenPair16(wq + kk * n + j0,
-                            kk + 1 < k ? wq + (kk + 1) * n + j0 : nullptr,
-                            lo, hi);
-                const __m256i xp0 = _mm256_set1_epi32(p0);
-                const __m256i xp1 = _mm256_set1_epi32(p1);
-                const __m256i xp2 = _mm256_set1_epi32(p2);
-                const __m256i xp3 = _mm256_set1_epi32(p3);
-                a0A = _mm256_add_epi32(a0A, _mm256_madd_epi16(lo, xp0));
-                a0B = _mm256_add_epi32(a0B, _mm256_madd_epi16(hi, xp0));
-                a1A = _mm256_add_epi32(a1A, _mm256_madd_epi16(lo, xp1));
-                a1B = _mm256_add_epi32(a1B, _mm256_madd_epi16(hi, xp1));
-                a2A = _mm256_add_epi32(a2A, _mm256_madd_epi16(lo, xp2));
-                a2B = _mm256_add_epi32(a2B, _mm256_madd_epi16(hi, xp2));
-                a3A = _mm256_add_epi32(a3A, _mm256_madd_epi16(lo, xp3));
-                a3B = _mm256_add_epi32(a3B, _mm256_madd_epi16(hi, xp3));
-            }
-            storeAcc16(c0 + j0, a0A, a0B);
-            storeAcc16(c1 + j0, a1A, a1B);
-            storeAcc16(c2 + j0, a2A, a2B);
-            storeAcc16(c3 + j0, a3A, a3B);
-        }
-        if (j0 < n) {
-            gemmRowTailColsSse2(x0, k, wq, n, c0, j0);
-            gemmRowTailColsSse2(x1, k, wq, n, c1, j0);
-            gemmRowTailColsSse2(x2, k, wq, n, c2, j0);
-            gemmRowTailColsSse2(x3, k, wq, n, c3, j0);
-        }
-    }
-    for (; i < m; ++i) { // single-row remainder
-        const std::int8_t* xrow = xq + i * k;
-        std::int32_t* crow = acc + i * n;
-        std::int64_t j0 = 0;
-        for (; j0 + 16 <= n; j0 += 16) {
-            __m256i accA, accB;
-            loadAcc16(crow + j0, accA, accB);
-            for (std::int64_t kk = 0; kk < k; kk += 2) {
-                const std::int32_t pair = xPairI32(xrow, kk, k);
-                if (pair == 0)
-                    continue;
-                __m256i lo, hi;
-                widenPair16(wq + kk * n + j0,
-                            kk + 1 < k ? wq + (kk + 1) * n + j0 : nullptr,
-                            lo, hi);
-                const __m256i xp = _mm256_set1_epi32(pair);
-                accA = _mm256_add_epi32(accA, _mm256_madd_epi16(lo, xp));
-                accB = _mm256_add_epi32(accB, _mm256_madd_epi16(hi, xp));
-            }
-            storeAcc16(crow + j0, accA, accB);
-        }
-        if (j0 < n)
-            gemmRowTailColsSse2(xrow, k, wq, n, crow, j0);
-    }
+    gemmPacked<Avx2Tile>(widenPairsSse2(xq, m, k), m, k, wp, n, acc);
 }
 
 void
@@ -220,9 +141,9 @@ avx2KernelsCompiled()
 
 void
 intGemmAvx2(const std::int8_t* xq, std::int64_t m, std::int64_t k,
-            const std::int8_t* wq, std::int64_t n, std::int32_t* acc)
+            const std::int8_t* wp, std::int64_t n, std::int32_t* acc)
 {
-    intGemmSse2(xq, m, k, wq, n, acc);
+    intGemmSse2(xq, m, k, wp, n, acc);
 }
 
 void

@@ -1,28 +1,27 @@
-/** @file AVX-512 VNNI kernels: 32-column vpdpwssd int-GEMM with 4-row
- *  register blocking, 16-wide quantization, 16-wide absmax.
+/** @file AVX-512 VNNI kernels: vpdpwssd int-GEMM on packed weights,
+ *  16-wide quantization, 16-wide absmax.
  *
  *  This TU is compiled with -mavx512{f,bw,vl,vnni} (attached per-file by
  *  CMake); without compiler support the functions degrade to delegating
  *  wrappers and avx512KernelsCompiled() reports false.
  *
  *  GEMM scheme: the same paired-K formulation as the SSE2/AVX2 kernels,
- *  but expressed with the VNNI word dot-product. Weights of rows kk/kk+1
- *  are interleaved bytewise (vpunpck[lh]bw on 128-bit halves keeps the
- *  natural column order), widened to int16 with vpmovsxbw, and fed to
- *  vpdpwssd against the broadcast activation pair -- each int32 lane
- *  accumulates x[kk]*w[kk][j] + x[kk+1]*w[kk+1][j] exactly, with no
- *  permuted-accumulator dance. We deliberately use the signed word form
+ *  expressed with the VNNI word dot-product. One vpmovsxbw of 32 packed
+ *  bytes yields the int16 pairs (w[2q][j], w[2q+1][j]) of a 16-column
+ *  panel in natural column order, and vpdpwssd against the broadcast
+ *  activation pair accumulates x[2q]*w[2q][j] + x[2q+1]*w[2q+1][j] in
+ *  each int32 lane exactly. We deliberately use the signed word form
  *  (vpdpwssd) rather than the byte form (vpdpbusd): vpdpbusd requires an
  *  unsigned operand, which would need a per-weight-matrix column-sum
  *  compensation term to undo the +128 bias -- correct but no longer the
  *  same arithmetic as the golden kernel. vpdpwssd keeps every variant
- *  bit-identical by construction at half the byte-form's peak, which this
- *  pipeline cannot reach anyway (it is load-bound on the weight stream,
- *  not multiply-bound).
+ *  bit-identical by construction.
  *
- *  Row blocking: as in the AVX2 kernel, quads of rows share each widened
- *  weight load, which is what makes multi-row calls cheaper per row than
- *  repeated single-row calls.
+ *  Activations are widened once per call, one vpmovsxbw per 32 bytes.
+ *  Tiles are 4 rows x 32 columns, or 8 rows x 16 columns when one panel
+ *  covers N (8 accumulators either way, of the 32 zmm registers); the
+ *  last panel loads and stores its accumulators under a column mask. See
+ *  simd_gemm_common.hpp for the row blocking.
  */
 
 #include "hw/simd_kernels.hpp"
@@ -40,19 +39,89 @@ namespace create::simd::detail {
 
 namespace {
 
-/** Widened int16 pairs (w[kk][j], w[kk+1][j]) for 16 columns, natural
- *  column order: lane j of the result holds the pair for column j0+j. */
+/**
+ * acc + vpdpwssd(a, b). Inline asm, not _mm512_dpwssd_epi32: GCC 12
+ * copies each tile accumulator out and back around every use of the
+ * intrinsic (its result is tied to its first operand), two extra moves
+ * per multiply-add that cost ~30% on the planner's 14x64x192 GEMM.
+ */
 inline __m512i
-widenPair16(const std::int8_t* w0p, const std::int8_t* w1p)
+dpwssd(__m512i acc, __m512i a, __m512i b)
 {
-    const __m128i w0 =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(w0p));
-    const __m128i w1 =
-        w1p ? _mm_loadu_si128(reinterpret_cast<const __m128i*>(w1p))
-            : _mm_setzero_si128();
-    const __m256i inter = _mm256_set_m128i(_mm_unpackhi_epi8(w0, w1),
-                                           _mm_unpacklo_epi8(w0, w1));
-    return _mm512_cvtepi8_epi16(inter);
+    __asm__("vpdpwssd %2, %1, %0" : "+v"(acc) : "v"(a), "v"(b));
+    return acc;
+}
+
+/** R rows x P panels of 16 columns (see gemmRows for the contract). */
+struct Avx512Tile
+{
+    static constexpr std::int64_t kV = 16;
+    static constexpr bool kEightRows = true;
+
+    template <int R, int P>
+    static void run(const std::int32_t* xw, std::int64_t pairs,
+                    const std::int8_t* wp, std::int64_t stride,
+                    std::int32_t* c, std::int64_t ldc, std::int64_t cols)
+    {
+        __mmask16 mask[P];
+        #pragma GCC unroll 8
+        for (int p = 0; p < P; ++p) {
+            const std::int64_t left = cols - 16 * p;
+            mask[p] = left >= 16 ? __mmask16(0xFFFF)
+                                 : __mmask16((1u << left) - 1u);
+        }
+        __m512i a[R][P];
+        #pragma GCC unroll 8
+        for (int r = 0; r < R; ++r)
+            #pragma GCC unroll 8
+            for (int p = 0; p < P; ++p)
+                a[r][p] = _mm512_maskz_loadu_epi32(mask[p],
+                                                   c + r * ldc + 16 * p);
+        for (std::int64_t q = 0; q < pairs; ++q) {
+            __m512i wv[P];
+            #pragma GCC unroll 8
+            for (int p = 0; p < P; ++p)
+                wv[p] = _mm512_cvtepi8_epi16(
+                    _mm256_loadu_si256(reinterpret_cast<const __m256i*>(
+                        wp + q * stride + 32 * p)));
+            #pragma GCC unroll 8
+            for (int r = 0; r < R; ++r) {
+                const __m512i xp = _mm512_set1_epi32(xw[r * pairs + q]);
+                #pragma GCC unroll 8
+                for (int p = 0; p < P; ++p)
+                    a[r][p] = dpwssd(a[r][p], wv[p], xp);
+            }
+        }
+        #pragma GCC unroll 8
+        for (int r = 0; r < R; ++r)
+            #pragma GCC unroll 8
+            for (int p = 0; p < P; ++p)
+                _mm512_mask_storeu_epi32(c + r * ldc + 16 * p, mask[p],
+                                         a[r][p]);
+    }
+};
+
+/** widenPairsSse2's contract, one masked vpmovsxbw per 32 bytes. */
+const std::int32_t*
+widenPairs(const std::int8_t* xq, std::int64_t m, std::int64_t k)
+{
+    const std::int64_t pairs = (k + 1) / 2;
+    std::int32_t* out = pairScratch(static_cast<std::size_t>(m * pairs));
+    for (std::int64_t i = 0; i < m; ++i) {
+        const std::int8_t* x = xq + i * k;
+        std::int32_t* d = out + i * pairs;
+        for (std::int64_t q = 0; q < pairs; q += 16) {
+            const std::int64_t bytes = std::min<std::int64_t>(32, k - 2 * q);
+            const std::int64_t slots = std::min<std::int64_t>(16, pairs - q);
+            const __mmask32 load =
+                bytes == 32 ? ~0u : (1u << bytes) - 1u; // odd K: high half 0
+            const __mmask16 store = __mmask16((1u << slots) - 1u);
+            _mm512_mask_storeu_epi32(
+                d + q, store,
+                _mm512_cvtepi8_epi16(_mm256_maskz_loadu_epi8(load, x + 2 * q)));
+        }
+    }
+    return out;
 }
 
 } // namespace
@@ -65,135 +134,9 @@ avx512KernelsCompiled()
 
 void
 intGemmAvx512(const std::int8_t* xq, std::int64_t m, std::int64_t k,
-              const std::int8_t* wq, std::int64_t n, std::int32_t* acc)
+              const std::int8_t* wp, std::int64_t n, std::int32_t* acc)
 {
-    std::int64_t i = 0;
-    for (; i + 4 <= m; i += 4) { // 4-row quads share every weight load
-        const std::int8_t* x0 = xq + (i + 0) * k;
-        const std::int8_t* x1 = xq + (i + 1) * k;
-        const std::int8_t* x2 = xq + (i + 2) * k;
-        const std::int8_t* x3 = xq + (i + 3) * k;
-        std::int32_t* c0 = acc + (i + 0) * n;
-        std::int32_t* c1 = acc + (i + 1) * n;
-        std::int32_t* c2 = acc + (i + 2) * n;
-        std::int32_t* c3 = acc + (i + 3) * n;
-        std::int64_t j0 = 0;
-        for (; j0 + 32 <= n; j0 += 32) { // 32 cols x 4 rows: 8 accumulators
-            __m512i a0L = _mm512_loadu_si512(c0 + j0);
-            __m512i a0H = _mm512_loadu_si512(c0 + j0 + 16);
-            __m512i a1L = _mm512_loadu_si512(c1 + j0);
-            __m512i a1H = _mm512_loadu_si512(c1 + j0 + 16);
-            __m512i a2L = _mm512_loadu_si512(c2 + j0);
-            __m512i a2H = _mm512_loadu_si512(c2 + j0 + 16);
-            __m512i a3L = _mm512_loadu_si512(c3 + j0);
-            __m512i a3H = _mm512_loadu_si512(c3 + j0 + 16);
-            for (std::int64_t kk = 0; kk < k; kk += 2) {
-                const std::int32_t p0 = xPairI32(x0, kk, k);
-                const std::int32_t p1 = xPairI32(x1, kk, k);
-                const std::int32_t p2 = xPairI32(x2, kk, k);
-                const std::int32_t p3 = xPairI32(x3, kk, k);
-                if ((p0 | p1 | p2 | p3) == 0)
-                    continue;
-                const std::int8_t* w0p = wq + kk * n + j0;
-                const std::int8_t* w1p =
-                    kk + 1 < k ? wq + (kk + 1) * n + j0 : nullptr;
-                const __m512i wL = widenPair16(w0p, w1p);
-                const __m512i wH =
-                    widenPair16(w0p + 16, w1p ? w1p + 16 : nullptr);
-                const __m512i xp0 = _mm512_set1_epi32(p0);
-                const __m512i xp1 = _mm512_set1_epi32(p1);
-                const __m512i xp2 = _mm512_set1_epi32(p2);
-                const __m512i xp3 = _mm512_set1_epi32(p3);
-                a0L = _mm512_dpwssd_epi32(a0L, wL, xp0);
-                a0H = _mm512_dpwssd_epi32(a0H, wH, xp0);
-                a1L = _mm512_dpwssd_epi32(a1L, wL, xp1);
-                a1H = _mm512_dpwssd_epi32(a1H, wH, xp1);
-                a2L = _mm512_dpwssd_epi32(a2L, wL, xp2);
-                a2H = _mm512_dpwssd_epi32(a2H, wH, xp2);
-                a3L = _mm512_dpwssd_epi32(a3L, wL, xp3);
-                a3H = _mm512_dpwssd_epi32(a3H, wH, xp3);
-            }
-            _mm512_storeu_si512(c0 + j0, a0L);
-            _mm512_storeu_si512(c0 + j0 + 16, a0H);
-            _mm512_storeu_si512(c1 + j0, a1L);
-            _mm512_storeu_si512(c1 + j0 + 16, a1H);
-            _mm512_storeu_si512(c2 + j0, a2L);
-            _mm512_storeu_si512(c2 + j0 + 16, a2H);
-            _mm512_storeu_si512(c3 + j0, a3L);
-            _mm512_storeu_si512(c3 + j0 + 16, a3H);
-        }
-        for (; j0 + 16 <= n; j0 += 16) { // 16-col block
-            __m512i a0 = _mm512_loadu_si512(c0 + j0);
-            __m512i a1 = _mm512_loadu_si512(c1 + j0);
-            __m512i a2 = _mm512_loadu_si512(c2 + j0);
-            __m512i a3 = _mm512_loadu_si512(c3 + j0);
-            for (std::int64_t kk = 0; kk < k; kk += 2) {
-                const std::int32_t p0 = xPairI32(x0, kk, k);
-                const std::int32_t p1 = xPairI32(x1, kk, k);
-                const std::int32_t p2 = xPairI32(x2, kk, k);
-                const std::int32_t p3 = xPairI32(x3, kk, k);
-                if ((p0 | p1 | p2 | p3) == 0)
-                    continue;
-                const __m512i w = widenPair16(
-                    wq + kk * n + j0,
-                    kk + 1 < k ? wq + (kk + 1) * n + j0 : nullptr);
-                a0 = _mm512_dpwssd_epi32(a0, w, _mm512_set1_epi32(p0));
-                a1 = _mm512_dpwssd_epi32(a1, w, _mm512_set1_epi32(p1));
-                a2 = _mm512_dpwssd_epi32(a2, w, _mm512_set1_epi32(p2));
-                a3 = _mm512_dpwssd_epi32(a3, w, _mm512_set1_epi32(p3));
-            }
-            _mm512_storeu_si512(c0 + j0, a0);
-            _mm512_storeu_si512(c1 + j0, a1);
-            _mm512_storeu_si512(c2 + j0, a2);
-            _mm512_storeu_si512(c3 + j0, a3);
-        }
-        if (j0 < n) {
-            gemmRowTailColsSse2(x0, k, wq, n, c0, j0);
-            gemmRowTailColsSse2(x1, k, wq, n, c1, j0);
-            gemmRowTailColsSse2(x2, k, wq, n, c2, j0);
-            gemmRowTailColsSse2(x3, k, wq, n, c3, j0);
-        }
-    }
-    for (; i < m; ++i) { // single-row remainder
-        const std::int8_t* xrow = xq + i * k;
-        std::int32_t* crow = acc + i * n;
-        std::int64_t j0 = 0;
-        for (; j0 + 32 <= n; j0 += 32) {
-            __m512i aL = _mm512_loadu_si512(crow + j0);
-            __m512i aH = _mm512_loadu_si512(crow + j0 + 16);
-            for (std::int64_t kk = 0; kk < k; kk += 2) {
-                const std::int32_t pair = xPairI32(xrow, kk, k);
-                if (pair == 0)
-                    continue;
-                const std::int8_t* w0p = wq + kk * n + j0;
-                const std::int8_t* w1p =
-                    kk + 1 < k ? wq + (kk + 1) * n + j0 : nullptr;
-                const __m512i xp = _mm512_set1_epi32(pair);
-                aL = _mm512_dpwssd_epi32(aL, widenPair16(w0p, w1p), xp);
-                aH = _mm512_dpwssd_epi32(
-                    aH, widenPair16(w0p + 16, w1p ? w1p + 16 : nullptr), xp);
-            }
-            _mm512_storeu_si512(crow + j0, aL);
-            _mm512_storeu_si512(crow + j0 + 16, aH);
-        }
-        for (; j0 + 16 <= n; j0 += 16) {
-            __m512i a = _mm512_loadu_si512(crow + j0);
-            for (std::int64_t kk = 0; kk < k; kk += 2) {
-                const std::int32_t pair = xPairI32(xrow, kk, k);
-                if (pair == 0)
-                    continue;
-                a = _mm512_dpwssd_epi32(
-                    a,
-                    widenPair16(wq + kk * n + j0,
-                                kk + 1 < k ? wq + (kk + 1) * n + j0
-                                           : nullptr),
-                    _mm512_set1_epi32(pair));
-            }
-            _mm512_storeu_si512(crow + j0, a);
-        }
-        if (j0 < n)
-            gemmRowTailColsSse2(xrow, k, wq, n, crow, j0);
-    }
+    gemmPacked<Avx512Tile>(widenPairs(xq, m, k), m, k, wp, n, acc);
 }
 
 void
@@ -240,9 +183,9 @@ avx512KernelsCompiled()
 
 void
 intGemmAvx512(const std::int8_t* xq, std::int64_t m, std::int64_t k,
-              const std::int8_t* wq, std::int64_t n, std::int32_t* acc)
+              const std::int8_t* wp, std::int64_t n, std::int32_t* acc)
 {
-    intGemmAvx2(xq, m, k, wq, n, acc);
+    intGemmAvx2(xq, m, k, wp, n, acc);
 }
 
 void

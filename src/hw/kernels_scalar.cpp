@@ -1,66 +1,53 @@
 /** @file Portable scalar kernels: the any-architecture floor of the
  *  dispatch hierarchy, and the semantic definition every SIMD variant is
- *  measured against (bit-identical, enforced by the golden suite). */
+ *  measured against (bit-identical, enforced by the golden suite). Its
+ *  intGemm reads the same packed K-pair weights as the SIMD tiers, one
+ *  row and eight columns at a time. */
 
 #include "hw/simd_kernels.hpp"
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
+
+#include "hw/kernel_dispatch.hpp"
 
 namespace create::simd::detail {
 
+std::int32_t*
+pairScratch(std::size_t count)
+{
+    thread_local std::vector<std::int32_t> scratch;
+    if (scratch.size() < count)
+        scratch.resize(count);
+    return scratch.data();
+}
+
 void
 intGemmScalar(const std::int8_t* xq, std::int64_t m, std::int64_t k,
-              const std::int8_t* wq, std::int64_t n, std::int32_t* acc)
+              const std::int8_t* wp, std::int64_t n, std::int32_t* acc)
 {
-    // K-tiled, 8-column register-blocked micro-kernel (each (row, K-tile,
-    // column-block) round keeps its 8 partial sums in int32 registers
-    // instead of re-reading the accumulator row per k).
-    constexpr std::int64_t kNr = 8;   //!< columns per register block
-    constexpr std::int64_t kKc = 256; //!< K tile (256 rows x 8 cols = 2 KiB)
+    // Each (row, 8-column block) keeps its partial sums in registers for
+    // the whole K loop; a ragged last block pads its sums past n with
+    // zeros and never stores them (the packed weight is zero there).
+    constexpr std::int64_t kNr = 8;
+    const std::int64_t pairs = (k + 1) / 2;
+    const std::int64_t stride = 2 * packedCols(n);
     for (std::int64_t i = 0; i < m; ++i) {
         const std::int8_t* xrow = xq + i * k;
         std::int32_t* crow = acc + i * n;
-        for (std::int64_t k0 = 0; k0 < k; k0 += kKc) {
-            const std::int64_t kEnd = std::min(k, k0 + kKc);
-            std::int64_t j0 = 0;
-            for (; j0 + kNr <= n; j0 += kNr) {
-                std::int32_t a0 = crow[j0 + 0], a1 = crow[j0 + 1];
-                std::int32_t a2 = crow[j0 + 2], a3 = crow[j0 + 3];
-                std::int32_t a4 = crow[j0 + 4], a5 = crow[j0 + 5];
-                std::int32_t a6 = crow[j0 + 6], a7 = crow[j0 + 7];
-                for (std::int64_t kk = k0; kk < kEnd; ++kk) {
-                    const std::int32_t xv = xrow[kk];
-                    if (xv == 0)
-                        continue;
-                    const std::int8_t* wrow = wq + kk * n + j0;
-                    a0 += xv * static_cast<std::int32_t>(wrow[0]);
-                    a1 += xv * static_cast<std::int32_t>(wrow[1]);
-                    a2 += xv * static_cast<std::int32_t>(wrow[2]);
-                    a3 += xv * static_cast<std::int32_t>(wrow[3]);
-                    a4 += xv * static_cast<std::int32_t>(wrow[4]);
-                    a5 += xv * static_cast<std::int32_t>(wrow[5]);
-                    a6 += xv * static_cast<std::int32_t>(wrow[6]);
-                    a7 += xv * static_cast<std::int32_t>(wrow[7]);
-                }
-                crow[j0 + 0] = a0;
-                crow[j0 + 1] = a1;
-                crow[j0 + 2] = a2;
-                crow[j0 + 3] = a3;
-                crow[j0 + 4] = a4;
-                crow[j0 + 5] = a5;
-                crow[j0 + 6] = a6;
-                crow[j0 + 7] = a7;
+        for (std::int64_t j0 = 0; j0 < n; j0 += kNr) {
+            const std::int64_t cols = std::min(kNr, n - j0);
+            std::int32_t a[kNr] = {};
+            std::copy(crow + j0, crow + j0 + cols, a);
+            for (std::int64_t q = 0; q < pairs; ++q) {
+                const std::int32_t x0 = xrow[2 * q];
+                const std::int32_t x1 = 2 * q + 1 < k ? xrow[2 * q + 1] : 0;
+                const std::int8_t* w = wp + q * stride + 2 * j0;
+                for (std::int64_t c = 0; c < kNr; ++c)
+                    a[c] += x0 * w[2 * c] + x1 * w[2 * c + 1];
             }
-            for (; j0 < n; ++j0) { // ragged column tail
-                std::int32_t a = crow[j0];
-                for (std::int64_t kk = k0; kk < kEnd; ++kk) {
-                    const std::int32_t xv = xrow[kk];
-                    if (xv != 0)
-                        a += xv * static_cast<std::int32_t>(wq[kk * n + j0]);
-                }
-                crow[j0] = a;
-            }
+            std::copy(a, a + cols, crow + j0);
         }
     }
 }

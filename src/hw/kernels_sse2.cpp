@@ -1,14 +1,23 @@
 /** @file SSE2 kernels -- the golden reference SIMD tier.
  *
- *  These are the PR-3 hot-path kernels moved verbatim behind the
- *  dispatcher: always built on x86-64 (SSE2 is part of the base ABI), and
- *  the variant the CI `CREATE_FORCE_ISA=sse2` leg pins so the fallback
- *  stays exercised on AVX-capable runners. */
+ *  Always built on x86-64 (SSE2 is part of the base ABI), and the
+ *  variant the CI `CREATE_FORCE_ISA=sse2` legs pin so the fallback stays
+ *  exercised on AVX-capable runners.
+ *
+ *  GEMM scheme: the packed weight holds, per K pair, the byte pairs
+ *  (w[2q][j], w[2q+1][j]) of consecutive columns, so one 16-byte load
+ *  covers 8 columns; unpacking it with itself and shifting right by 8
+ *  sign-extends the pairs to int16, and pmaddwd against the broadcast
+ *  activation pair (x[2q], x[2q+1]) yields each column's two-term sum in
+ *  an int32 lane. Tiles are 4 rows x 8 columns (8 accumulators of the 16
+ *  xmm registers); see simd_gemm_common.hpp for the row blocking. */
 
 #include "hw/simd_kernels.hpp"
 
 #if defined(__SSE2__)
 #include <emmintrin.h>
+
+#include "hw/simd_gemm_common.hpp"
 #endif
 
 #include <cstring>
@@ -17,85 +26,111 @@ namespace create::simd::detail {
 
 #if defined(__SSE2__)
 
+namespace {
+
+/** int8 lanes of `v` (low half, or high half) sign-extended to int16. */
+inline __m128i
+widenLo(__m128i v)
+{
+    return _mm_srai_epi16(_mm_unpacklo_epi8(v, v), 8);
+}
+
+inline __m128i
+widenHi(__m128i v)
+{
+    return _mm_srai_epi16(_mm_unpackhi_epi8(v, v), 8);
+}
+
+/** R rows x P vectors of 4 columns (see gemmRows for the contract). */
+struct Sse2Tile
+{
+    static constexpr std::int64_t kV = 4;
+    static constexpr bool kEightRows = false;
+
+    template <int R, int P>
+    static void run(const std::int32_t* xw, std::int64_t pairs,
+                    const std::int8_t* wp, std::int64_t stride,
+                    std::int32_t* c, std::int64_t ldc, std::int64_t cols)
+    {
+        raggedTile<R, P * kV>(c, ldc, cols, [&](std::int32_t* t,
+                                                std::int64_t ldt) {
+            __m128i a[R][P];
+            #pragma GCC unroll 8
+            for (int r = 0; r < R; ++r)
+                #pragma GCC unroll 8
+                for (int p = 0; p < P; ++p)
+                    a[r][p] = _mm_loadu_si128(
+                        reinterpret_cast<const __m128i*>(t + r * ldt + 4 * p));
+            for (std::int64_t q = 0; q < pairs; ++q) {
+                const auto* w =
+                    reinterpret_cast<const __m128i*>(wp + q * stride);
+                __m128i wv[P];
+                if constexpr (P == 2) {
+                    const __m128i b = _mm_loadu_si128(w);
+                    wv[0] = widenLo(b);
+                    wv[1] = widenHi(b);
+                } else {
+                    wv[0] = widenLo(_mm_loadl_epi64(w));
+                }
+                #pragma GCC unroll 8
+                for (int r = 0; r < R; ++r) {
+                    const __m128i xp = _mm_set1_epi32(xw[r * pairs + q]);
+                    #pragma GCC unroll 8
+                    for (int p = 0; p < P; ++p)
+                        a[r][p] = _mm_add_epi32(a[r][p],
+                                                _mm_madd_epi16(wv[p], xp));
+                }
+            }
+            #pragma GCC unroll 8
+            for (int r = 0; r < R; ++r)
+                #pragma GCC unroll 8
+                for (int p = 0; p < P; ++p)
+                    _mm_storeu_si128(
+                        reinterpret_cast<__m128i*>(t + r * ldt + 4 * p),
+                        a[r][p]);
+        });
+    }
+};
+
+} // namespace
+
 bool
 sse2KernelsCompiled()
 {
     return true;
 }
 
-void
-intGemmSse2(const std::int8_t* xq, std::int64_t m, std::int64_t k,
-            const std::int8_t* wq, std::int64_t n, std::int32_t* acc)
+const std::int32_t*
+widenPairsSse2(const std::int8_t* xq, std::int64_t m, std::int64_t k)
 {
-    // SSE2 micro-kernel: 8 output columns per step, two K rows fused per
-    // multiply. Weights of rows kk/kk+1 are interleaved bytewise and
-    // sign-extended to int16 pairs (w[kk][j], w[kk+1][j]); pmaddwd against
-    // the broadcast activation pair (x[kk], x[kk+1]) then produces the
-    // per-column two-term partial sums directly in int32 lanes. Integer
-    // accumulation is exact, so the reordering is bit-identical to the
-    // scalar kernel.
-    const __m128i vzero = _mm_setzero_si128();
+    const std::int64_t pairs = (k + 1) / 2;
+    std::int32_t* out = pairScratch(static_cast<std::size_t>(m * pairs));
     for (std::int64_t i = 0; i < m; ++i) {
-        const std::int8_t* xrow = xq + i * k;
-        std::int32_t* crow = acc + i * n;
-        std::int64_t j0 = 0;
-        for (; j0 + 8 <= n; j0 += 8) {
-            __m128i acc0 = _mm_loadu_si128(
-                reinterpret_cast<const __m128i*>(crow + j0));
-            __m128i acc1 = _mm_loadu_si128(
-                reinterpret_cast<const __m128i*>(crow + j0 + 4));
-            std::int64_t kk = 0;
-            for (; kk + 2 <= k; kk += 2) {
-                const std::int32_t x0 = xrow[kk], x1 = xrow[kk + 1];
-                if ((x0 | x1) == 0)
-                    continue;
-                const std::uint32_t pair =
-                    static_cast<std::uint16_t>(x0) |
-                    (static_cast<std::uint32_t>(static_cast<std::uint16_t>(x1))
-                     << 16);
-                const __m128i xpair =
-                    _mm_set1_epi32(static_cast<std::int32_t>(pair));
-                const __m128i w0 = _mm_loadl_epi64(
-                    reinterpret_cast<const __m128i*>(wq + kk * n + j0));
-                const __m128i w1 = _mm_loadl_epi64(
-                    reinterpret_cast<const __m128i*>(wq + (kk + 1) * n + j0));
-                const __m128i inter = _mm_unpacklo_epi8(w0, w1);
-                const __m128i lo16 =
-                    _mm_srai_epi16(_mm_unpacklo_epi8(vzero, inter), 8);
-                const __m128i hi16 =
-                    _mm_srai_epi16(_mm_unpackhi_epi8(vzero, inter), 8);
-                acc0 = _mm_add_epi32(acc0, _mm_madd_epi16(lo16, xpair));
-                acc1 = _mm_add_epi32(acc1, _mm_madd_epi16(hi16, xpair));
-            }
-            if (kk < k) { // odd-K tail: pair the last row with zero
-                const std::int32_t x0 = xrow[kk];
-                if (x0 != 0) {
-                    const __m128i xpair = _mm_set1_epi32(
-                        static_cast<std::uint16_t>(x0));
-                    const __m128i w0 = _mm_loadl_epi64(
-                        reinterpret_cast<const __m128i*>(wq + kk * n + j0));
-                    const __m128i inter = _mm_unpacklo_epi8(w0, vzero);
-                    const __m128i lo16 =
-                        _mm_srai_epi16(_mm_unpacklo_epi8(vzero, inter), 8);
-                    const __m128i hi16 =
-                        _mm_srai_epi16(_mm_unpackhi_epi8(vzero, inter), 8);
-                    acc0 = _mm_add_epi32(acc0, _mm_madd_epi16(lo16, xpair));
-                    acc1 = _mm_add_epi32(acc1, _mm_madd_epi16(hi16, xpair));
-                }
-            }
-            _mm_storeu_si128(reinterpret_cast<__m128i*>(crow + j0), acc0);
-            _mm_storeu_si128(reinterpret_cast<__m128i*>(crow + j0 + 4), acc1);
+        const std::int8_t* x = xq + i * k;
+        std::int32_t* d = out + i * pairs;
+        std::int64_t q = 0;
+        for (; 2 * q + 16 <= k; q += 8) { // 16 bytes -> 8 int16 pairs
+            const __m128i v =
+                _mm_loadu_si128(reinterpret_cast<const __m128i*>(x + 2 * q));
+            _mm_storeu_si128(reinterpret_cast<__m128i*>(d + q), widenLo(v));
+            _mm_storeu_si128(reinterpret_cast<__m128i*>(d + q + 4),
+                             widenHi(v));
         }
-        for (; j0 < n; ++j0) { // ragged column tail
-            std::int32_t a = crow[j0];
-            for (std::int64_t kk = 0; kk < k; ++kk) {
-                const std::int32_t xv = xrow[kk];
-                if (xv != 0)
-                    a += xv * static_cast<std::int32_t>(wq[kk * n + j0]);
-            }
-            crow[j0] = a;
+        for (; q < pairs; ++q) {
+            const std::uint32_t lo = static_cast<std::uint16_t>(x[2 * q]);
+            const std::uint32_t hi =
+                2 * q + 1 < k ? static_cast<std::uint16_t>(x[2 * q + 1]) : 0u;
+            d[q] = static_cast<std::int32_t>(lo | (hi << 16));
         }
     }
+    return out;
+}
+
+void
+intGemmSse2(const std::int8_t* xq, std::int64_t m, std::int64_t k,
+            const std::int8_t* wp, std::int64_t n, std::int32_t* acc)
+{
+    gemmPacked<Sse2Tile>(widenPairsSse2(xq, m, k), m, k, wp, n, acc);
 }
 
 void
@@ -153,9 +188,9 @@ sse2KernelsCompiled()
 
 void
 intGemmSse2(const std::int8_t* xq, std::int64_t m, std::int64_t k,
-            const std::int8_t* wq, std::int64_t n, std::int32_t* acc)
+            const std::int8_t* wp, std::int64_t n, std::int32_t* acc)
 {
-    intGemmScalar(xq, m, k, wq, n, acc);
+    intGemmScalar(xq, m, k, wp, n, acc);
 }
 
 void

@@ -1,79 +1,106 @@
 #pragma once
 
-/** @file Shared helpers for the paired-K SIMD int-GEMM kernels (AVX2 and
- *  AVX-512 TUs): activation-pair broadcast material and the SSE2-width
- *  ragged-column tail. Header-only and SSE2-level, so every x86 kernel TU
- *  can inline it regardless of its own -m flags. */
+/** @file Register blocking shared by the SIMD int-GEMM tiers (SSE2, AVX2,
+ *  AVX-512). Each tier supplies a Tile written with its own intrinsics;
+ *  this header walks rows and columns over it. Everything here has
+ *  internal linkage: every kernel TU instantiates its own copy under its
+ *  own -m flags, so the linker can never hand an SSE2 caller a copy
+ *  compiled for AVX. */
 
+#include <algorithm>
 #include <cstdint>
+#include <cstring>
 
-#if defined(__SSE2__)
-#include <emmintrin.h>
-#endif
+#include "hw/kernel_dispatch.hpp"
 
 namespace create::simd::detail {
+namespace {
 
-#if defined(__SSE2__)
-
-/** Broadcastable (x[kk], x[kk+1]) int16 pair from one activation row
- *  (odd-K tail pairs the last row with zero). */
-inline std::int32_t
-xPairI32(const std::int8_t* xrow, std::int64_t kk, std::int64_t k)
-{
-    const std::uint32_t lo = static_cast<std::uint16_t>(xrow[kk]);
-    const std::uint32_t hi =
-        kk + 1 < k
-            ? static_cast<std::uint32_t>(static_cast<std::uint16_t>(xrow[kk + 1]))
-            : 0u;
-    return static_cast<std::int32_t>(lo | (hi << 16));
-}
-
-/** Finish one GEMM row's ragged columns [j0, n): 8-wide pmaddwd steps
- *  (the SSE2 golden scheme) plus a scalar remainder. Exact. */
+/**
+ * Run `tile(c, ldc)` on the R x W accumulator tile at `acc` (row stride
+ * `n`) of which only the first `cols` columns exist. A ragged tile runs
+ * on a zero-padded stack copy, so the tile itself always loads and
+ * stores whole vectors (for tiers without masked loads).
+ */
+template <int R, int W, class Fn>
 inline void
-gemmRowTailColsSse2(const std::int8_t* xrow, std::int64_t k,
-                    const std::int8_t* wq, std::int64_t n, std::int32_t* crow,
-                    std::int64_t j0)
+raggedTile(std::int32_t* acc, std::int64_t n, std::int64_t cols, Fn&& tile)
 {
-    const __m128i vzero = _mm_setzero_si128();
-    for (; j0 + 8 <= n; j0 += 8) {
-        __m128i acc0 =
-            _mm_loadu_si128(reinterpret_cast<const __m128i*>(crow + j0));
-        __m128i acc1 =
-            _mm_loadu_si128(reinterpret_cast<const __m128i*>(crow + j0 + 4));
-        for (std::int64_t kk = 0; kk < k; kk += 2) {
-            const std::int32_t pair = xPairI32(xrow, kk, k);
-            if (pair == 0)
-                continue;
-            const __m128i xp = _mm_set1_epi32(pair);
-            const __m128i w0 = _mm_loadl_epi64(
-                reinterpret_cast<const __m128i*>(wq + kk * n + j0));
-            const __m128i w1 =
-                kk + 1 < k ? _mm_loadl_epi64(reinterpret_cast<const __m128i*>(
-                                 wq + (kk + 1) * n + j0))
-                           : vzero;
-            const __m128i inter = _mm_unpacklo_epi8(w0, w1);
-            const __m128i lo16 =
-                _mm_srai_epi16(_mm_unpacklo_epi8(vzero, inter), 8);
-            const __m128i hi16 =
-                _mm_srai_epi16(_mm_unpackhi_epi8(vzero, inter), 8);
-            acc0 = _mm_add_epi32(acc0, _mm_madd_epi16(lo16, xp));
-            acc1 = _mm_add_epi32(acc1, _mm_madd_epi16(hi16, xp));
-        }
-        _mm_storeu_si128(reinterpret_cast<__m128i*>(crow + j0), acc0);
-        _mm_storeu_si128(reinterpret_cast<__m128i*>(crow + j0 + 4), acc1);
-    }
-    for (; j0 < n; ++j0) {
-        std::int32_t a = crow[j0];
-        for (std::int64_t kk = 0; kk < k; ++kk) {
-            const std::int32_t xv = xrow[kk];
-            if (xv != 0)
-                a += xv * static_cast<std::int32_t>(wq[kk * n + j0]);
-        }
-        crow[j0] = a;
+    if (cols == W)
+        return tile(acc, n);
+    std::int32_t tmp[R * W] = {};
+    const auto bytes = static_cast<std::size_t>(cols) * sizeof(std::int32_t);
+    for (int r = 0; r < R; ++r)
+        std::memcpy(tmp + r * W, acc + r * n, bytes);
+    tile(tmp, static_cast<std::int64_t>(W));
+    for (int r = 0; r < R; ++r)
+        std::memcpy(acc + r * n, tmp + r * W, bytes);
+}
+
+/**
+ * R rows of acc(MxN) += x @ w across all N columns, in tiles of one or
+ * two vectors of Tile::kV int32 columns. `Tile::template run<R, P>(xw,
+ * pairs, wp, stride, c, n, cols)` accumulates the R x (P * kV) tile whose
+ * first accumulator is `c` (row stride `n`) over every K pair; `wp`
+ * points at the tile's first column of packed pair row 0, `stride` is the
+ * packed row pitch in bytes, and only `cols` of its columns exist. Tiles
+ * fully unroll their row and vector loops (`#pragma GCC unroll`): only
+ * then does GCC keep the accumulator array in registers rather than on
+ * the stack.
+ */
+template <class Tile, int R>
+inline void
+gemmRows(const std::int32_t* xw, std::int64_t pairs, const std::int8_t* wp,
+         std::int64_t n, std::int32_t* acc)
+{
+    constexpr std::int64_t kV = Tile::kV;
+    const std::int64_t stride = 2 * packedCols(n);
+    for (std::int64_t j0 = 0; j0 < n; j0 += 2 * kV) {
+        const std::int64_t cols = std::min(2 * kV, n - j0);
+        if (cols > kV)
+            Tile::template run<R, 2>(xw, pairs, wp + 2 * j0, stride,
+                                     acc + j0, n, cols);
+        else
+            Tile::template run<R, 1>(xw, pairs, wp + 2 * j0, stride,
+                                     acc + j0, n, cols);
     }
 }
 
-#endif // __SSE2__
+/**
+ * acc(MxN) += x(MxK) @ w(KxN) from widened activation pairs `xw` (row i
+ * at xw + i * (K + 1) / 2, see widenPairsSse2) and packed weights `wp`.
+ * Rows go in blocks of 4 -- of 8 when Tile::kEightRows and one panel
+ * covers N, so a narrow GEMM still keeps 8 accumulators in flight --
+ * then one block of 3, 2 or 1: every row of every call shares each
+ * weight load with the rest of its block.
+ */
+template <class Tile>
+inline void
+gemmPacked(const std::int32_t* xw, std::int64_t m, std::int64_t k,
+           const std::int8_t* wp, std::int64_t n, std::int32_t* acc)
+{
+    const std::int64_t pairs = (k + 1) / 2;
+    std::int64_t i = 0;
+    if constexpr (Tile::kEightRows)
+        if (n <= kPackPanel)
+            for (; i + 8 <= m; i += 8)
+                gemmRows<Tile, 8>(xw + i * pairs, pairs, wp, n, acc + i * n);
+    for (; i + 4 <= m; i += 4)
+        gemmRows<Tile, 4>(xw + i * pairs, pairs, wp, n, acc + i * n);
+    switch (m - i) {
+      case 3:
+        gemmRows<Tile, 3>(xw + i * pairs, pairs, wp, n, acc + i * n);
+        break;
+      case 2:
+        gemmRows<Tile, 2>(xw + i * pairs, pairs, wp, n, acc + i * n);
+        break;
+      case 1:
+        gemmRows<Tile, 1>(xw + i * pairs, pairs, wp, n, acc + i * n);
+        break;
+      default:
+        break;
+    }
+}
 
+} // namespace
 } // namespace create::simd::detail

@@ -36,11 +36,11 @@ matmulAccum(const Tensor& a, const Tensor& b, Tensor& c)
     const float* pa = a.data();
     const float* pb = b.data();
     float* pc = c.data();
-    // Blocked like hw/faulty_gemm.cpp's intGemm: per (row, K-tile,
-    // column-block), 8 partial sums live in registers instead of the
-    // accumulator row being stored and reloaded once per k. Each output
-    // element still accumulates in strictly ascending k order, so results
-    // are bit-identical to the naive i-k-j kernel.
+    // Register-blocked per (row, K-tile, column-block): 8 partial sums
+    // live in registers instead of the accumulator row being stored and
+    // reloaded once per k. Each output element still accumulates in
+    // strictly ascending k order, so results are bit-identical to the
+    // naive i-k-j kernel.
     constexpr std::int64_t kNr = 8;
     constexpr std::int64_t kKc = 256;
     for (std::int64_t i = 0; i < m; ++i) {
@@ -253,22 +253,38 @@ im2col(const Tensor& input, int k, int stride, int pad)
     const int oh = convOutSize(h, k, stride, pad);
     const int ow = convOutSize(w, k, stride, pad);
     require(oh > 0 && ow > 0, "im2col: empty output");
-    Tensor cols({static_cast<std::int64_t>(oh) * ow,
-                 static_cast<std::int64_t>(c) * k * k});
-    std::int64_t row = 0;
-    for (int oy = 0; oy < oh; ++oy) {
-        for (int ox = 0; ox < ow; ++ox, ++row) {
-            std::int64_t col = 0;
-            for (int ch = 0; ch < c; ++ch) {
-                for (int ky = 0; ky < k; ++ky) {
-                    for (int kx = 0; kx < k; ++kx, ++col) {
-                        const int iy = oy * stride + ky - pad;
-                        const int ix = ox * stride + kx - pad;
-                        float v = 0.0f;
-                        if (iy >= 0 && iy < h && ix >= 0 && ix < w)
-                            v = input.at(ch, iy, ix);
-                        cols.at(row, col) = v;
-                    }
+    const std::int64_t ncols = static_cast<std::int64_t>(c) * k * k;
+    Tensor cols({static_cast<std::int64_t>(oh) * ow, ncols});
+    // One kernel tap (ch, ky, kx) is one output column. Taps that fall in
+    // the zero padding stay 0 (the tensor is zero-filled), so each tap
+    // copies only its valid output range [ox0, ox1), found once per tap.
+    float* out = cols.data();
+    const float* in = input.data();
+    std::int64_t col = 0;
+    for (int ch = 0; ch < c; ++ch) {
+        for (int ky = 0; ky < k; ++ky) {
+            for (int kx = 0; kx < k; ++kx, ++col) {
+                const int off = kx - pad; // ix = ox * stride + off
+                int ox0 = 0;
+                while (ox0 < ow && ox0 * stride + off < 0)
+                    ++ox0;
+                int ox1 = ow;
+                while (ox1 > ox0 && (ox1 - 1) * stride + off >= w)
+                    --ox1;
+                for (int oy = 0; oy < oh; ++oy) {
+                    const int iy = oy * stride + ky - pad;
+                    if (iy < 0 || iy >= h || ox0 == ox1)
+                        continue;
+                    const float* src =
+                        in + (static_cast<std::int64_t>(ch) * h + iy) * w +
+                        ox0 * stride + off;
+                    float* dst = out +
+                                 (static_cast<std::int64_t>(oy) * ow + ox0) *
+                                     ncols +
+                                 col;
+                    for (int ox = ox0; ox < ox1; ++ox, src += stride,
+                             dst += ncols)
+                        *dst = *src;
                 }
             }
         }

@@ -1042,8 +1042,10 @@ struct Worker
     bool bye = false;    //!< left with `bye`: a clean exit, not a reset
     bool parked = false; //!< asked, and no frame has come since
     bool fin = false;
+    /** The held range has waited a move: its fate is next. */
+    bool waited = false;
     std::set<std::string> declared; //!< on the open connection
-    std::vector<Range> held;        //!< handed; its fate is next
+    std::vector<Range> held;        //!< handed; its fate is to come
     std::vector<Range> hung;        //!< sat on, to be delivered late
 };
 
@@ -1077,20 +1079,23 @@ class Sim
     const std::string& failure() const { return failure_; }
     long long redispatched() const { return core_.rangesRedispatched(); }
 
-    /** The steps enabled now (none once the core ended or failed). */
+    /** The steps enabled now (none once the core ended or failed). A
+     *  range handed out may wait one move for its fate -- one in which
+     *  another worker asks and parks, or leaves -- and its fate is then
+     *  the next move. The clock stands still while a range is held. */
     std::vector<Move> moves() const
     {
         std::vector<Move> out;
-        out.reserve(8);
+        out.reserve(16);
         if (finished_ || !failure_.empty())
             return out;
         for (std::size_t i = 0; i < workers_.size(); ++i)
-            if (!workers_[i].held.empty()) { // a fate is chosen at once
+            if (workers_[i].waited) {
                 for (const Fate f : kFates)
                     out.push_back({Move::Decide, static_cast<int>(i), f});
                 return out;
             }
-        bool reset = false;
+        bool reset = false, held = false;
         for (std::size_t i = 0; i < workers_.size(); ++i) {
             const Worker& w = workers_[i];
             const int wi = static_cast<int>(i);
@@ -1099,8 +1104,13 @@ class Sim
                 reset = reset || !w.bye;
                 continue;
             }
-            if (!w.fin && !w.parked)
+            if (!w.held.empty()) {
+                held = true;
+                for (const Fate f : kFates)
+                    out.push_back({Move::Decide, wi, f});
+            } else if (!w.fin && !w.parked) {
                 out.push_back({Move::Ask, wi, Fate::Complete});
+            }
             if (!w.deeper.first.empty())
                 out.push_back({Move::Deepen, wi, Fate::Complete});
             if (!w.hung.empty() && now_ - w.hung[0].since > kTimeout)
@@ -1108,13 +1118,16 @@ class Sim
         }
         // A reset worker reconnects at once: the clock moves on only
         // when none is pending, and only when a range is outstanding.
-        if (!reset && !live_.empty())
+        if (!reset && !held && !live_.empty())
             out.push_back({Move::Sleep, -1, Fate::Complete});
         return out;
     }
 
     void apply(const Move& m)
     {
+        std::vector<bool> held(workers_.size());
+        for (std::size_t i = 0; i < workers_.size(); ++i)
+            held[i] = !workers_[i].held.empty();
         now_ += m.kind == Move::Sleep ? kTimeout : 0.001;
         if (m.kind != Move::Sleep) {
             Worker& w = workers_[static_cast<std::size_t>(m.worker)];
@@ -1127,6 +1140,8 @@ class Sim
             case Move::Sleep: break;
             }
         }
+        for (std::size_t i = 0; i < workers_.size(); ++i)
+            workers_[i].waited = held[i] && !workers_[i].held.empty();
         tick();
     }
 

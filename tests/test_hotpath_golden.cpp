@@ -17,7 +17,9 @@
  *  golden contract is a property of the *dispatch table*, not of
  *  whichever tier happens to be best on the build machine. CI adds a
  *  CREATE_FORCE_ISA=sse2 leg so the reference tier also runs the full
- *  suite on hosts whose startup pick is wider.
+ *  suite on hosts whose startup pick is wider. A frozen faultyLinear
+ *  call must also allocate nothing but its result once warm, which the
+ *  counting global operator new of alloc_counter.hpp checks.
  */
 
 #include <algorithm>
@@ -33,6 +35,8 @@
 #include "hw/faulty_gemm.hpp"
 #include "hw/kernel_dispatch.hpp"
 #include "tensor/ops.hpp"
+
+#include "alloc_counter.hpp"
 
 using namespace create;
 
@@ -344,30 +348,117 @@ constexpr Protection kProtections[] = {Protection::None, Protection::Dmr,
 
 TEST(HotPathGolden, IntGemmMatchesNaiveOnRaggedShapes)
 {
-    // Odd K (SIMD pair tail), non-multiple-of-8/16/32 N (column tails of
-    // every tier), row counts off the 4-row register blocks, and aligned
-    // shapes all reduce to the same accumulators.
-    forEachSupportedIsa([] {
-        Rng rng(9);
-        for (const auto [m, k, n] :
-             {std::tuple<int, int, int>{3, 33, 13}, {4, 64, 32}, {1, 7, 9},
-              {5, 2, 8}, {2, 1, 1}, {9, 65, 63}, {12, 64, 26}, {16, 64, 64},
-              {6, 31, 40}, {14, 64, 192}}) {
-            std::vector<std::int8_t> x(static_cast<std::size_t>(m * k));
-            std::vector<std::int8_t> w(static_cast<std::size_t>(k * n));
-            for (auto& v : x)
-                v = static_cast<std::int8_t>(rng.rangeInclusive(-127, 127));
-            for (auto& v : w)
-                v = static_cast<std::int8_t>(rng.rangeInclusive(-127, 127));
-            // Sprinkle zeros to exercise the zero-skip branch.
-            for (std::size_t i = 0; i < x.size(); i += 3)
-                x[i] = 0;
-            std::vector<std::int32_t> opt(static_cast<std::size_t>(m * n), 7);
-            std::vector<std::int32_t> ref = opt; // same nonzero starting acc
-            intGemm(x.data(), m, k, w.data(), n, opt.data());
-            refIntGemm(x.data(), m, k, w.data(), n, ref.data());
-            EXPECT_EQ(opt, ref) << "m=" << m << " k=" << k << " n=" << n;
+    // Every shape the models run and every block boundary of every tier:
+    // row counts on and off the 8-, 4-, 3-, 2- and 1-row blocks, odd K
+    // (the zero-padded last pair) and K within one SIMD widening step, and
+    // N off the 4/8/16/32-column tiles and the 16-column packed panels.
+    // create::intGemm packs the row-major weight and runs the tier's
+    // kernel on it; the reference reads the row-major weight directly.
+    struct Case
+    {
+        int m, k, n;
+        std::vector<std::int8_t> x, w;
+        std::vector<std::int32_t> ref;
+    };
+    std::vector<Case> cases;
+    Rng rng(9);
+    for (const int m : {1, 2, 3, 5, 7, 8, 9, 13, 576})
+        for (const int k : {1, 2, 14, 27, 31, 144, 288})
+            for (const int n : {1, 9, 15, 16, 17, 26, 33, 48, 144}) {
+                Case c{m, k, n, {}, {}, {}};
+                c.x.resize(static_cast<std::size_t>(m * k));
+                c.w.resize(static_cast<std::size_t>(k * n));
+                for (auto& v : c.x)
+                    v = static_cast<std::int8_t>(rng.rangeInclusive(-127, 127));
+                for (auto& v : c.w)
+                    v = static_cast<std::int8_t>(rng.rangeInclusive(-127, 127));
+                for (std::size_t i = 0; i < c.x.size(); i += 3)
+                    c.x[i] = 0; // quantized activations are often zero
+                c.ref.assign(static_cast<std::size_t>(m * n), 7);
+                refIntGemm(c.x.data(), m, k, c.w.data(), n, c.ref.data());
+                cases.push_back(std::move(c));
+            }
+    forEachSupportedIsa([&] {
+        for (const Case& c : cases) {
+            // Same nonzero starting accumulators as the reference.
+            std::vector<std::int32_t> opt(c.ref.size(), 7);
+            intGemm(c.x.data(), c.m, c.k, c.w.data(), c.n, opt.data());
+            EXPECT_EQ(opt, c.ref) << "m=" << c.m << " k=" << c.k
+                                  << " n=" << c.n;
         }
+    });
+}
+
+TEST(HotPathGolden, RefreezeRepacksTheWeight)
+{
+    // invalidate() drops the packed copy, and the next frozen call packs
+    // the weight it freezes: after a Hadamard weight rotation, and again
+    // when the datapath switches from Int8 to Int4. Every frozen state
+    // matches the reference freeze and the naive pipeline.
+    const Tensor x = randomInput(5, 32, 6, 1.0f);
+    forEachSupportedIsa([&] {
+        Rng rng(31);
+        nn::Linear lin("golden.refreeze", 32, 26, /*withBias=*/true, rng);
+        const QuantGemmState& st = lin.quantState();
+        const auto calibrate = [&] {
+            ComputeContext c(1);
+            c.calibrating = true;
+            lin.infer(randomInput(8, 32, 5, 1.0f), c);
+        };
+        const auto check = [&](QuantBits bits, const std::string& what) {
+            goldenCheckLinear(lin, x, bits, Protection::None,
+                              /*inject=*/false, what);
+            ASSERT_TRUE(st.frozen) << what;
+            EXPECT_EQ(st.wQ.bits, bits) << what;
+            EXPECT_EQ(st.wq, refFreeze(lin, bits).wq) << what;
+            std::vector<std::int8_t> packed;
+            simd::packWeights(st.wq.data(), 32, 26, packed);
+            EXPECT_EQ(st.wPacked, packed) << what;
+        };
+        calibrate();
+        check(QuantBits::Int8, "first freeze");
+        const std::vector<std::int8_t> before = st.wPacked;
+
+        lin.invalidateQuant();
+        EXPECT_FALSE(st.frozen);
+        EXPECT_TRUE(st.wPacked.empty());
+
+        lin.setWeight(ops::matmul(ops::hadamard(32), lin.weight()));
+        calibrate();
+        check(QuantBits::Int8, "after rotation");
+        EXPECT_NE(st.wPacked, before);
+
+        check(QuantBits::Int4, "after the Int8 -> Int4 switch");
+    });
+}
+
+TEST(HotPathGolden, FrozenFaultyLinearAllocatesNothingAfterWarmUp)
+{
+    // Once a thread and a context are warm -- the layer frozen, the
+    // workspace and the thread's activation-pair scratch grown -- a
+    // faultyLinear call allocates its result tensor and nothing else,
+    // injection on or off, on every tier.
+    Rng rng(17);
+    nn::Linear lin("golden.alloc", 48, 144, /*withBias=*/true, rng);
+    ComputeContext calib(1);
+    calib.calibrating = true;
+    lin.infer(randomInput(8, 48, 18, 1.0f), calib);
+    const Tensor x = randomInput(3, 48, 19, 1.0f);
+    std::uint64_t start = tAllocations;
+    { const Tensor result({3, 144}); }
+    const std::uint64_t resultAllocs = tAllocations - start;
+    forEachSupportedIsa([&] {
+        for (const Protection prot : {Protection::None, Protection::Dmr})
+            for (const bool inject : {false, true}) {
+                ComputeContext ctx =
+                    makeCtx(20, QuantBits::Int8, prot, inject);
+                lin.infer(x, ctx); // warm-up
+                start = tAllocations;
+                const Tensor y = lin.infer(x, ctx);
+                EXPECT_EQ(tAllocations - start, resultAllocs)
+                    << "prot=" << static_cast<int>(prot)
+                    << " inject=" << inject;
+            }
     });
 }
 

@@ -8,7 +8,7 @@
  *  order and flip the same bits: equal accumulators, positions and flip
  *  counts, and an equal Rng state afterwards. It must also make no heap
  *  allocation once a thread has warmed up, which the counting global
- *  operator new below checks.
+ *  operator new of alloc_counter.hpp checks.
  */
 
 #include <gtest/gtest.h>
@@ -26,48 +26,7 @@
 #include "fault/error_model.hpp"
 #include "fault/injector.hpp"
 
-namespace {
-
-/** Heap allocations made by the calling thread, through any operator new. */
-thread_local std::uint64_t tAllocations = 0;
-
-void*
-countedAlloc(std::size_t size) noexcept
-{
-    ++tAllocations;
-    return std::malloc(size == 0 ? 1 : size);
-}
-
-void*
-countedAllocOrThrow(std::size_t size)
-{
-    if (void* p = countedAlloc(size))
-        return p;
-    throw std::bad_alloc();
-}
-
-} // namespace
-
-// Every unaligned form is replaced, so each allocation is counted and
-// every new/delete pair stays malloc/free (as the sanitizers expect).
-void* operator new(std::size_t size) { return countedAllocOrThrow(size); }
-void* operator new[](std::size_t size) { return countedAllocOrThrow(size); }
-void*
-operator new(std::size_t size, const std::nothrow_t&) noexcept
-{
-    return countedAlloc(size);
-}
-void*
-operator new[](std::size_t size, const std::nothrow_t&) noexcept
-{
-    return countedAlloc(size);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); }
+#include "alloc_counter.hpp"
 
 namespace create {
 namespace {

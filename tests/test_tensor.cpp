@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <tuple>
 
 #include "common/rng.hpp"
 #include "tensor/ops.hpp"
@@ -164,6 +166,47 @@ TEST(Ops, Im2ColIdentityKernel)
     EXPECT_EQ(cols.dim(1), 2);
     EXPECT_FLOAT_EQ(cols.at(4, 0), img.at(0, 1, 1));
     EXPECT_FLOAT_EQ(cols.at(4, 1), img.at(1, 1, 1));
+}
+
+/** im2col against the per-element loop it replaced, bit for bit: the VS
+ *  predictor's 3x3/pad-1 convs and strided, padded and wide kernels. */
+TEST(Ops, Im2ColMatchesPerElementLoop)
+{
+    Rng rng(11);
+    for (const auto [c, h, w, k, stride, pad] :
+         {std::tuple<int, int, int, int, int, int>{3, 24, 24, 3, 1, 1},
+          {16, 12, 12, 3, 1, 1}, {2, 7, 6, 3, 2, 1}, {1, 9, 5, 5, 3, 2},
+          {2, 4, 4, 5, 1, 3}, {3, 5, 8, 1, 2, 0}, {1, 3, 3, 3, 1, 0}}) {
+        Tensor x({c, h, w});
+        for (std::int64_t i = 0; i < x.numel(); ++i)
+            x[i] = static_cast<float>(rng.normal());
+        const int oh = ops::convOutSize(h, k, stride, pad);
+        const int ow = ops::convOutSize(w, k, stride, pad);
+        Tensor ref({static_cast<std::int64_t>(oh) * ow,
+                    static_cast<std::int64_t>(c) * k * k});
+        std::int64_t row = 0;
+        for (int oy = 0; oy < oh; ++oy)
+            for (int ox = 0; ox < ow; ++ox, ++row) {
+                std::int64_t col = 0;
+                for (int ch = 0; ch < c; ++ch)
+                    for (int ky = 0; ky < k; ++ky)
+                        for (int kx = 0; kx < k; ++kx, ++col) {
+                            const int iy = oy * stride + ky - pad;
+                            const int ix = ox * stride + kx - pad;
+                            float v = 0.0f;
+                            if (iy >= 0 && iy < h && ix >= 0 && ix < w)
+                                v = x.at(ch, iy, ix);
+                            ref.at(row, col) = v;
+                        }
+            }
+        const Tensor cols = ops::im2col(x, k, stride, pad);
+        ASSERT_EQ(cols.shape(), ref.shape());
+        EXPECT_EQ(0, std::memcmp(cols.data(), ref.data(),
+                                 static_cast<std::size_t>(ref.numel()) *
+                                     sizeof(float)))
+            << c << "x" << h << "x" << w << " k=" << k << " s=" << stride
+            << " p=" << pad;
+    }
 }
 
 /** Adjoint property: <im2col(x), y> == <x, col2im(y)> for random x, y. */
