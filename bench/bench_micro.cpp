@@ -1,11 +1,11 @@
 /**
  * @file
  * Google-benchmark microbenchmarks for the hot substrate paths: integer
- * GEMM (dispatched SIMD tier; force one with CREATE_FORCE_ISA), fault
- * injection, the full faulty pipeline, the systolic model, Hadamard
- * rotation, single model
- * inferences, and the episode evaluation engine (serial vs parallel
- * fan-out).
+ * GEMM, FP32 matmul and the attention core (dispatched SIMD tier; force
+ * one with CREATE_FORCE_ISA), fault injection, the full faulty pipeline,
+ * the systolic model, Hadamard rotation, building a platform, single
+ * model inferences, and the episode evaluation engine (serial vs
+ * parallel fan-out).
  *
  * `--json <path>` writes the per-benchmark latency records (including the
  * per-kernel and per-inference timings) as JSON -- the machine-readable
@@ -34,6 +34,7 @@
 #include "common/store_keys.hpp"
 #include "core/coordinator.hpp"
 #include "core/plan_system.hpp"
+#include "core/platform_registry.hpp"
 #include "core/store_backend.hpp"
 #include "fault/injector.hpp"
 #include "hw/faulty_gemm.hpp"
@@ -83,6 +84,86 @@ BENCHMARK(BM_IntGemm)->Arg(32)->Arg(64)->Arg(128);
 BENCHMARK_CAPTURE(BM_IntGemm, 3x48x144, 3, 48, 144);
 BENCHMARK_CAPTURE(BM_IntGemm, 14x64x192, 14, 64, 192);
 BENCHMARK_CAPTURE(BM_IntGemm, 576x27x16, 576, 27, 16);
+
+/** m x k random normal floats (k = 1 for a vector). */
+std::vector<float>
+normalFloats(std::int64_t m, std::int64_t k, std::uint64_t seed)
+{
+    Rng rng(seed);
+    std::vector<float> out(static_cast<std::size_t>(m * k));
+    for (auto& x : out)
+        x = static_cast<float>(rng.normal());
+    return out;
+}
+
+/** The dispatched FP32 matmul (ops::matmulAccum's kernel), c = 0 + a @ b. */
+void
+BM_MatmulF32(benchmark::State& state, std::int64_t m, std::int64_t k,
+             std::int64_t n)
+{
+    const std::vector<float> a = normalFloats(m, k, 6);
+    const std::vector<float> b = normalFloats(k, n, 7);
+    std::vector<float> c(static_cast<std::size_t>(m * n));
+    const simd::KernelTable& kernels = simd::active();
+    for (auto _ : state) {
+        std::fill(c.begin(), c.end(), 0.0f);
+        kernels.matmulF32(a.data(), m, k, b.data(), n, c.data());
+        benchmark::DoNotOptimize(c.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() * m * k * n);
+}
+// The products calibration spends its time in (m x k x n): a Mine
+// controller projection over its 3 tokens, the planner's gate/up
+// projections over 14 tokens, and the VS predictor's two convs over
+// their im2col rows.
+BENCHMARK_CAPTURE(BM_MatmulF32, 3x48x48, 3, 48, 48);
+BENCHMARK_CAPTURE(BM_MatmulF32, 14x64x192, 14, 64, 192);
+BENCHMARK_CAPTURE(BM_MatmulF32, 576x27x16, 576, 27, 16);
+BENCHMARK_CAPTURE(BM_MatmulF32, 144x144x32, 144, 144, 32);
+
+/**
+ * The dispatched attention core (scores, softmax, context) on fixed
+ * t x dim q, k, v with a warm scratch, as MultiHeadAttention::infer
+ * calls it.
+ */
+void
+BM_AttentionCore(benchmark::State& state, std::int64_t t, std::int64_t dim,
+                 std::int64_t heads)
+{
+    const std::vector<float> q = normalFloats(t, dim, 8);
+    const std::vector<float> k = normalFloats(t, dim, 9);
+    const std::vector<float> v = normalFloats(t, dim, 10);
+    std::vector<float> out(static_cast<std::size_t>(t * dim));
+    simd::AttentionScratch scratch;
+    const simd::KernelTable& kernels = simd::active();
+    for (auto _ : state) {
+        kernels.attention(q.data(), k.data(), v.data(), t, dim, heads,
+                          out.data(), scratch);
+        benchmark::DoNotOptimize(out.data());
+        benchmark::ClobberMemory();
+    }
+}
+// The Mine controller (3 tokens x 48) and planner (14 tokens x 64), both
+// at 4 heads.
+BENCHMARK_CAPTURE(BM_AttentionCore, 3x48, 3, 48, 4);
+BENCHMARK_CAPTURE(BM_AttentionCore, 14x64, 14, 64, 4);
+
+/**
+ * Building the jarvis-1 platform from the warm weight cache: loading its
+ * models and their clean calibration passes, the set-up every campaign
+ * process pays before its first episode.
+ */
+void
+BM_MineSetup(benchmark::State& state)
+{
+    const PlatformRegistry& registry = PlatformRegistry::instance();
+    for (auto _ : state) {
+        auto sys = registry.make("jarvis-1");
+        benchmark::DoNotOptimize(sys.get());
+    }
+}
+BENCHMARK(BM_MineSetup)->Unit(benchmark::kMillisecond);
 
 void
 BM_Injection(benchmark::State& state)

@@ -25,6 +25,7 @@
 
 #include "common/rng.hpp"
 #include "fault/error_model.hpp"
+#include "hw/kernel_dispatch.hpp"
 #include "quant/quant.hpp"
 
 namespace create {
@@ -100,9 +101,7 @@ struct GemmWorkspace
     std::vector<std::int32_t> acc2;     //!< DMR duplicate execution
     std::vector<std::int32_t> acc3;     //!< DMR arbitration execution
     std::vector<std::size_t> positions; //!< flip positions (ThunderVolt/ABFT)
-    std::vector<float> attnK;           //!< packed K^T slab (headDim x tokens)
-    std::vector<float> attnV;           //!< packed V slab (tokens x headDim)
-    std::vector<float> attnScores;      //!< per-head score/probability matrix
+    simd::AttentionScratch attn;        //!< attention kernel slabs
 };
 
 /**

@@ -14,14 +14,18 @@ namespace {
 
 using namespace detail;
 
-const KernelTable kScalarTable{Isa::Scalar, &intGemmScalar, &quantizeScalar,
-                               &absMaxScalar};
-const KernelTable kSse2Table{Isa::Sse2, &intGemmSse2, &quantizeSse2,
-                             &absMaxSse2};
-const KernelTable kAvx2Table{Isa::Avx2, &intGemmAvx2, &quantizeAvx2,
-                             &absMaxAvx2};
+const KernelTable kScalarTable{Isa::Scalar,     &intGemmScalar,
+                               &quantizeScalar, &absMaxScalar,
+                               &matmulF32Scalar, &attentionScalar};
+const KernelTable kSse2Table{Isa::Sse2,     &intGemmSse2,
+                             &quantizeSse2, &absMaxSse2,
+                             &matmulF32Sse2, &attentionSse2};
+const KernelTable kAvx2Table{Isa::Avx2,     &intGemmAvx2,
+                             &quantizeAvx2, &absMaxAvx2,
+                             &matmulF32Avx2, &attentionAvx2};
 const KernelTable kAvx512Table{Isa::Avx512Vnni, &intGemmAvx512,
-                               &quantizeAvx512, &absMaxAvx512};
+                               &quantizeAvx512, &absMaxAvx512,
+                               &matmulF32Avx512, &attentionAvx512};
 
 const KernelTable*
 tableFor(Isa isa)

@@ -2,19 +2,24 @@
 
 /**
  * @file
- * Runtime SIMD kernel dispatch for the integer inference hot path, and
- * the packed weight layout its integer GEMM reads.
+ * Runtime SIMD kernel dispatch for the inference and calibration hot
+ * paths, and the packed weight layout its integer GEMM reads.
  *
- * The three data-plane kernels every episode spends its cycles in --
- * intGemm (int8 GEMM into int32 accumulators), activation quantization,
- * and absmax calibration scans -- exist in one variant per instruction
- * set: a portable scalar kernel, the SSE2 `pmaddwd` kernel (the golden
- * reference the exact-equality test suite is written against), an AVX2
- * `pmaddwd` kernel, and an AVX-512 VNNI (`vpdpwssd`) kernel. CPUID
+ * The data-plane kernels exist in one variant per instruction set: a
+ * portable scalar kernel, an SSE2 kernel (the integer GEMM's golden
+ * reference), an AVX2 kernel, and an AVX-512 (VNNI) kernel. CPUID
  * detection at first use picks the widest variant the host supports; the
  * `CREATE_FORCE_ISA` environment variable (scalar | sse2 | avx2 |
- * avx512vnni) pins the choice for testing and for the CI leg that keeps
- * the SSE2 fallback exercised on AVX-capable runners.
+ * avx512vnni) pins the choice for testing and for the CI legs that keep
+ * the narrower tiers exercised on AVX-capable runners. The table has two
+ * halves:
+ *
+ *  - Integer: intGemm (int8 GEMM into int32 accumulators), activation
+ *    quantization, and absmax calibration scans -- the quantized,
+ *    fault-injectable datapath every episode spends its cycles in.
+ *  - FP32: matmulF32 (ops::matmul / matmulAccum, hence calibration,
+ *    Hadamard rotation and autograd training) and the attention core of
+ *    MultiHeadAttention::infer (scores, softmax, context).
  *
  * Packed weights: every tier's intGemm reads the weight in one K-pair
  * layout, built once per frozen layer by packWeights() (see
@@ -24,13 +29,20 @@
  * broadcast activation pair. An odd K is zero-padded, and N is padded to
  * whole kPackPanel-column panels, so every tier loads whole panels.
  *
- * Every variant is bit-identical by construction: integer accumulation
- * is exact in any summation order, quantization rounds with the same
- * round-to-nearest-even the scalar `nearbyint` path uses (cvtps2dq
- * rounds per the default MXCSR), and max-reduction is order-independent.
- * The golden suite (tests/test_hotpath_golden.cpp) enforces this with
- * exact `memcmp` across every variant the host can run, so switching
- * ISAs can never change an episode, a ledger, or a campaign result.
+ * Every variant is bit-identical by construction. Integer half: integer
+ * accumulation is exact in any summation order, quantization rounds with
+ * the same round-to-nearest-even the scalar `nearbyint` path uses
+ * (cvtps2dq rounds per the default MXCSR), and max-reduction is
+ * order-independent. FP32 half: float addition is not associative, so
+ * the vector tiers spread *independent* output elements across lanes and
+ * keep each element's own arithmetic exactly the scalar loop's -- terms
+ * in ascending k (or d, or j) order, each a rounded multiply followed by
+ * a separately rounded add (create_core builds with -ffp-contract=off, so
+ * no compiler fuses them into an FMA), the zero skip, and a scalar
+ * `std::exp` per softmax element. The golden suite
+ * (tests/test_hotpath_golden.cpp) enforces all of it with exact `memcmp`
+ * across every variant the host can run, so switching ISAs can never
+ * change an episode, a ledger, a trained weight, or a campaign result.
  */
 
 #include <cstdint>
@@ -38,6 +50,17 @@
 #include <vector>
 
 namespace create::simd {
+
+/**
+ * Scratch the attention kernels grow and reuse (one per ComputeContext,
+ * in its GemmWorkspace), so a warm attention call allocates nothing.
+ */
+struct AttentionScratch
+{
+    std::vector<float> k;      //!< K transposed (channels x keys)
+    std::vector<float> v;      //!< one head's V (scalar tier only)
+    std::vector<float> scores; //!< one head's score/probability rows
+};
 
 /** Instruction-set tiers of the dispatched kernel family (ascending). */
 enum class Isa
@@ -89,6 +112,31 @@ struct KernelTable
 
     /** max_i |src[i]| (0 for n == 0); exact (max is order-independent). */
     float (*absMax)(const float* src, std::int64_t n) = nullptr;
+
+    // -- FP32 half: every tier repeats the scalar loop's arithmetic --------
+
+    /**
+     * c(MxN) += a(MxK) @ b(KxN), all row-major. Each c[i][j] adds
+     * a[i][kk] * b[kk][j] in ascending kk, a rounded multiply then a
+     * rounded add per term, and skips every term whose a[i][kk] == 0: an
+     * inf or NaN in b never reaches c through a zero a entry, and a -0.0
+     * in c survives a row of zeros.
+     */
+    void (*matmulF32)(const float* a, std::int64_t m, std::int64_t k,
+                      const float* b, std::int64_t n, float* c) = nullptr;
+
+    /**
+     * Self-attention core over row-major (t x dim) q, k, v split into
+     * `heads` heads of hd = dim / heads channels. For each head and query
+     * row i: s[j] = (sum over d of q[i][d] * k[j][d], ascending d) *
+     * (1 / sqrt(hd)); p = softmax(s), its max taken as std::max from
+     * -1e30, one std::exp per element, the sum in ascending j, then one
+     * multiply by 1 / sum; out[i][head] = sum over j of p[j] * v[j][head],
+     * ascending j, from 0. Overwrites `out` (t x dim); grows `scratch`.
+     */
+    void (*attention)(const float* q, const float* k, const float* v,
+                      std::int64_t t, std::int64_t dim, std::int64_t heads,
+                      float* out, AttentionScratch& scratch) = nullptr;
 };
 
 /**

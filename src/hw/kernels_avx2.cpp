@@ -12,6 +12,10 @@
  *  broadcast activation pair sums each column's two terms in an int32
  *  lane. Tiles are 4 rows x 16 columns (8 accumulators of the 16 ymm
  *  registers); see simd_gemm_common.hpp for the row blocking.
+ *
+ *  FP32 half: simd_f32_common.hpp over 8-lane vectors, tiles of up to
+ *  4 rows x 16 columns; a ragged last vector moves through vmaskmovps,
+ *  and the zero skip selects with vblendvps.
  */
 
 #include "hw/simd_kernels.hpp"
@@ -19,6 +23,7 @@
 #if defined(__AVX2__)
 #include <immintrin.h>
 
+#include "hw/simd_f32_common.hpp"
 #include "hw/simd_gemm_common.hpp"
 #endif
 
@@ -72,6 +77,50 @@ struct Avx2Tile
                         reinterpret_cast<__m256i*>(t + r * ldt + 8 * p),
                         a[r][p]);
         });
+    }
+};
+
+/** 8-lane FP32 trait for simd_f32_common.hpp. */
+struct Avx2F32
+{
+    using V = __m256;
+    using M = __m256;
+    using Tail = __m256i;
+    static constexpr std::int64_t kW = 8;
+    static constexpr int kMaxVecs = 2;
+
+    static V zero() { return _mm256_setzero_ps(); }
+    static V set1(float x) { return _mm256_set1_ps(x); }
+    static V load(const float* p) { return _mm256_loadu_ps(p); }
+    static void store(float* p, V v) { _mm256_storeu_ps(p, v); }
+    static V add(V a, V b) { return _mm256_add_ps(a, b); }
+    static V mul(V a, V b) { return _mm256_mul_ps(a, b); }
+
+    /** All-ones in lanes [0, n). */
+    static Tail tail(int n)
+    {
+        return _mm256_cmpgt_epi32(_mm256_set1_epi32(n),
+                                  _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+    }
+
+    static V loadTail(const float* p, Tail t)
+    {
+        return _mm256_maskload_ps(p, t);
+    }
+
+    static void storeTail(float* p, V v, Tail t)
+    {
+        _mm256_maskstore_ps(p, t, v);
+    }
+
+    static M nonzero(V x)
+    {
+        return _mm256_cmp_ps(x, _mm256_setzero_ps(), _CMP_NEQ_UQ);
+    }
+
+    static V addIf(V acc, M m, V x)
+    {
+        return _mm256_blendv_ps(acc, _mm256_add_ps(acc, x), m);
     }
 };
 
@@ -131,6 +180,21 @@ absMaxAvx2(const float* src, std::int64_t n)
     return tail > m ? tail : m;
 }
 
+void
+matmulF32Avx2(const float* a, std::int64_t m, std::int64_t k, const float* b,
+              std::int64_t n, float* c)
+{
+    matmulF32<Avx2F32>(a, m, k, b, n, c);
+}
+
+void
+attentionAvx2(const float* q, const float* k, const float* v, std::int64_t t,
+              std::int64_t dim, std::int64_t heads, float* out,
+              AttentionScratch& scratch)
+{
+    attention<Avx2F32>(q, k, v, t, dim, heads, out, scratch);
+}
+
 #else // compiler cannot target AVX2: delegate (tier stays unregistered)
 
 bool
@@ -157,6 +221,21 @@ float
 absMaxAvx2(const float* src, std::int64_t n)
 {
     return absMaxSse2(src, n);
+}
+
+void
+matmulF32Avx2(const float* a, std::int64_t m, std::int64_t k, const float* b,
+              std::int64_t n, float* c)
+{
+    matmulF32Sse2(a, m, k, b, n, c);
+}
+
+void
+attentionAvx2(const float* q, const float* k, const float* v, std::int64_t t,
+              std::int64_t dim, std::int64_t heads, float* out,
+              AttentionScratch& scratch)
+{
+    attentionSse2(q, k, v, t, dim, heads, out, scratch);
 }
 
 #endif

@@ -22,6 +22,13 @@
  *  covers N (8 accumulators either way, of the 32 zmm registers); the
  *  last panel loads and stores its accumulators under a column mask. See
  *  simd_gemm_common.hpp for the row blocking.
+ *
+ *  FP32 half: simd_f32_common.hpp over 16-lane vectors, tiles of up to
+ *  4 rows x 64 columns (16 accumulators) or 8 x 16; a ragged last vector
+ *  loads and stores under a lane mask, and the zero skip is a
+ *  merge-masked add. This TU's -mavx512f implies -mfma: without
+ *  create_core's -ffp-contract=off, GCC would fuse each mul/add pair
+ *  into a vfmadd and change the rounding.
  */
 
 #include "hw/simd_kernels.hpp"
@@ -30,6 +37,7 @@
 #define CREATE_HAVE_AVX512_KERNELS 1
 #include <immintrin.h>
 
+#include "hw/simd_f32_common.hpp"
 #include "hw/simd_gemm_common.hpp"
 #endif
 
@@ -124,6 +132,44 @@ widenPairs(const std::int8_t* xq, std::int64_t m, std::int64_t k)
     return out;
 }
 
+/** 16-lane FP32 trait for simd_f32_common.hpp. */
+struct Avx512F32
+{
+    using V = __m512;
+    using M = __mmask16;
+    using Tail = __mmask16;
+    static constexpr std::int64_t kW = 16;
+    static constexpr int kMaxVecs = 4;
+
+    static V zero() { return _mm512_setzero_ps(); }
+    static V set1(float x) { return _mm512_set1_ps(x); }
+    static V load(const float* p) { return _mm512_loadu_ps(p); }
+    static void store(float* p, V v) { _mm512_storeu_ps(p, v); }
+    static V add(V a, V b) { return _mm512_add_ps(a, b); }
+    static V mul(V a, V b) { return _mm512_mul_ps(a, b); }
+    static Tail tail(int n) { return __mmask16((1u << n) - 1u); }
+
+    static V loadTail(const float* p, Tail t)
+    {
+        return _mm512_maskz_loadu_ps(t, p);
+    }
+
+    static void storeTail(float* p, V v, Tail t)
+    {
+        _mm512_mask_storeu_ps(p, t, v);
+    }
+
+    static M nonzero(V x)
+    {
+        return _mm512_cmp_ps_mask(x, _mm512_setzero_ps(), _CMP_NEQ_UQ);
+    }
+
+    static V addIf(V acc, M m, V x)
+    {
+        return _mm512_mask_add_ps(acc, m, acc, x);
+    }
+};
+
 } // namespace
 
 bool
@@ -173,6 +219,21 @@ absMaxAvx512(const float* src, std::int64_t n)
     return tail > m ? tail : m;
 }
 
+void
+matmulF32Avx512(const float* a, std::int64_t m, std::int64_t k,
+                const float* b, std::int64_t n, float* c)
+{
+    matmulF32<Avx512F32>(a, m, k, b, n, c);
+}
+
+void
+attentionAvx512(const float* q, const float* k, const float* v,
+                std::int64_t t, std::int64_t dim, std::int64_t heads,
+                float* out, AttentionScratch& scratch)
+{
+    attention<Avx512F32>(q, k, v, t, dim, heads, out, scratch);
+}
+
 #else // compiler cannot target AVX-512 VNNI: delegate
 
 bool
@@ -199,6 +260,21 @@ float
 absMaxAvx512(const float* src, std::int64_t n)
 {
     return absMaxAvx2(src, n);
+}
+
+void
+matmulF32Avx512(const float* a, std::int64_t m, std::int64_t k,
+                const float* b, std::int64_t n, float* c)
+{
+    matmulF32Avx2(a, m, k, b, n, c);
+}
+
+void
+attentionAvx512(const float* q, const float* k, const float* v,
+                std::int64_t t, std::int64_t dim, std::int64_t heads,
+                float* out, AttentionScratch& scratch)
+{
+    attentionAvx2(q, k, v, t, dim, heads, out, scratch);
 }
 
 #endif

@@ -10,13 +10,19 @@
  *  sign-extends the pairs to int16, and pmaddwd against the broadcast
  *  activation pair (x[2q], x[2q+1]) yields each column's two-term sum in
  *  an int32 lane. Tiles are 4 rows x 8 columns (8 accumulators of the 16
- *  xmm registers); see simd_gemm_common.hpp for the row blocking. */
+ *  xmm registers); see simd_gemm_common.hpp for the row blocking.
+ *
+ *  FP32 half: simd_f32_common.hpp over 4-lane vectors, tiles of up to
+ *  4 rows x 8 columns. SSE2 has no masked loads, so a ragged last vector
+ *  moves its 1-3 valid floats with movss/movq; the zero skip selects
+ *  with and/andnot/or. */
 
 #include "hw/simd_kernels.hpp"
 
 #if defined(__SSE2__)
 #include <emmintrin.h>
 
+#include "hw/simd_f32_common.hpp"
 #include "hw/simd_gemm_common.hpp"
 #endif
 
@@ -89,6 +95,54 @@ struct Sse2Tile
                         reinterpret_cast<__m128i*>(t + r * ldt + 4 * p),
                         a[r][p]);
         });
+    }
+};
+
+/** 4-lane FP32 trait for simd_f32_common.hpp. */
+struct Sse2F32
+{
+    using V = __m128;
+    using M = __m128;
+    using Tail = int;
+    static constexpr std::int64_t kW = 4;
+    static constexpr int kMaxVecs = 2;
+
+    static V zero() { return _mm_setzero_ps(); }
+    static V set1(float x) { return _mm_set1_ps(x); }
+    static V load(const float* p) { return _mm_loadu_ps(p); }
+    static void store(float* p, V v) { _mm_storeu_ps(p, v); }
+    static V add(V a, V b) { return _mm_add_ps(a, b); }
+    static V mul(V a, V b) { return _mm_mul_ps(a, b); }
+    static Tail tail(int n) { return n; }
+
+    // movq moves two floats through the unaligned __m128i_u type; the
+    // movsd forms would dereference p as a (misaligned) double.
+    static V loadTail(const float* p, Tail n)
+    {
+        if (n == 1)
+            return _mm_load_ss(p);
+        const V lo = _mm_castsi128_ps(
+            _mm_loadl_epi64(reinterpret_cast<const __m128i*>(p)));
+        return n == 2 ? lo : _mm_movelh_ps(lo, _mm_load_ss(p + 2));
+    }
+
+    static void storeTail(float* p, V v, Tail n)
+    {
+        if (n == 1) {
+            _mm_store_ss(p, v);
+            return;
+        }
+        _mm_storel_epi64(reinterpret_cast<__m128i*>(p), _mm_castps_si128(v));
+        if (n == 3)
+            _mm_store_ss(p + 2, _mm_movehl_ps(v, v));
+    }
+
+    static M nonzero(V x) { return _mm_cmpneq_ps(x, _mm_setzero_ps()); }
+
+    static V addIf(V acc, M m, V x)
+    {
+        return _mm_or_ps(_mm_and_ps(m, _mm_add_ps(acc, x)),
+                         _mm_andnot_ps(m, acc));
     }
 };
 
@@ -178,6 +232,21 @@ absMaxSse2(const float* src, std::int64_t n)
     return tail > m ? tail : m;
 }
 
+void
+matmulF32Sse2(const float* a, std::int64_t m, std::int64_t k, const float* b,
+              std::int64_t n, float* c)
+{
+    matmulF32<Sse2F32>(a, m, k, b, n, c);
+}
+
+void
+attentionSse2(const float* q, const float* k, const float* v, std::int64_t t,
+              std::int64_t dim, std::int64_t heads, float* out,
+              AttentionScratch& scratch)
+{
+    attention<Sse2F32>(q, k, v, t, dim, heads, out, scratch);
+}
+
 #else // !__SSE2__: non-x86 hosts fall through to the scalar kernels.
 
 bool
@@ -204,6 +273,21 @@ float
 absMaxSse2(const float* src, std::int64_t n)
 {
     return absMaxScalar(src, n);
+}
+
+void
+matmulF32Sse2(const float* a, std::int64_t m, std::int64_t k, const float* b,
+              std::int64_t n, float* c)
+{
+    matmulF32Scalar(a, m, k, b, n, c);
+}
+
+void
+attentionSse2(const float* q, const float* k, const float* v, std::int64_t t,
+              std::int64_t dim, std::int64_t heads, float* out,
+              AttentionScratch& scratch)
+{
+    attentionScalar(q, k, v, t, dim, heads, out, scratch);
 }
 
 #endif

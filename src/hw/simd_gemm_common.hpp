@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <cstring>
 
+#include "common/row_blocks.hpp"
 #include "hw/kernel_dispatch.hpp"
 
 namespace create::simd::detail {
@@ -80,26 +81,13 @@ gemmPacked(const std::int32_t* xw, std::int64_t m, std::int64_t k,
            const std::int8_t* wp, std::int64_t n, std::int32_t* acc)
 {
     const std::int64_t pairs = (k + 1) / 2;
-    std::int64_t i = 0;
-    if constexpr (Tile::kEightRows)
-        if (n <= kPackPanel)
-            for (; i + 8 <= m; i += 8)
-                gemmRows<Tile, 8>(xw + i * pairs, pairs, wp, n, acc + i * n);
-    for (; i + 4 <= m; i += 4)
-        gemmRows<Tile, 4>(xw + i * pairs, pairs, wp, n, acc + i * n);
-    switch (m - i) {
-      case 3:
-        gemmRows<Tile, 3>(xw + i * pairs, pairs, wp, n, acc + i * n);
-        break;
-      case 2:
-        gemmRows<Tile, 2>(xw + i * pairs, pairs, wp, n, acc + i * n);
-        break;
-      case 1:
-        gemmRows<Tile, 1>(xw + i * pairs, pairs, wp, n, acc + i * n);
-        break;
-      default:
-        break;
-    }
+    forRowBlocks<Tile::kEightRows>(
+        m,
+        [&](std::int64_t i, auto rows) {
+            gemmRows<Tile, decltype(rows)::value>(xw + i * pairs, pairs, wp,
+                                                  n, acc + i * n);
+        },
+        n <= kPackPanel);
 }
 
 } // namespace

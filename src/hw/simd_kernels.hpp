@@ -12,11 +12,16 @@
  * delegating wrappers when the compiler cannot target the ISA, and
  * report that through their *Compiled() probes so the dispatcher never
  * advertises a tier that is secretly scalar. Every intGemm* reads its
- * weight in the packed K-pair layout (simd::packWeights).
+ * weight in the packed K-pair layout (simd::packWeights). The FP32
+ * entries (matmulF32*, attention*) of the SIMD tiers come from one
+ * set of templates (simd_f32_common.hpp); the scalar ones are the
+ * reference loops they reproduce bit for bit.
  */
 
 #include <cstddef>
 #include <cstdint>
+
+#include "hw/kernel_dispatch.hpp"
 
 namespace create::simd::detail {
 
@@ -34,6 +39,11 @@ void intGemmScalar(const std::int8_t* xq, std::int64_t m, std::int64_t k,
 void quantizeScalar(const float* src, std::int64_t n, float invScale, int lim,
                     std::int8_t* out);
 float absMaxScalar(const float* src, std::int64_t n);
+void matmulF32Scalar(const float* a, std::int64_t m, std::int64_t k,
+                     const float* b, std::int64_t n, float* c);
+void attentionScalar(const float* q, const float* k, const float* v,
+                     std::int64_t t, std::int64_t dim, std::int64_t heads,
+                     float* out, AttentionScratch& scratch);
 
 // -- SSE2 (golden reference; real whenever __SSE2__, i.e. any x86-64) -----
 bool sse2KernelsCompiled();
@@ -50,6 +60,11 @@ const std::int32_t* widenPairsSse2(const std::int8_t* xq, std::int64_t m,
 void quantizeSse2(const float* src, std::int64_t n, float invScale, int lim,
                   std::int8_t* out);
 float absMaxSse2(const float* src, std::int64_t n);
+void matmulF32Sse2(const float* a, std::int64_t m, std::int64_t k,
+                   const float* b, std::int64_t n, float* c);
+void attentionSse2(const float* q, const float* k, const float* v,
+                   std::int64_t t, std::int64_t dim, std::int64_t heads,
+                   float* out, AttentionScratch& scratch);
 
 // -- AVX2 -----------------------------------------------------------------
 bool avx2KernelsCompiled();
@@ -58,6 +73,11 @@ void intGemmAvx2(const std::int8_t* xq, std::int64_t m, std::int64_t k,
 void quantizeAvx2(const float* src, std::int64_t n, float invScale, int lim,
                   std::int8_t* out);
 float absMaxAvx2(const float* src, std::int64_t n);
+void matmulF32Avx2(const float* a, std::int64_t m, std::int64_t k,
+                   const float* b, std::int64_t n, float* c);
+void attentionAvx2(const float* q, const float* k, const float* v,
+                   std::int64_t t, std::int64_t dim, std::int64_t heads,
+                   float* out, AttentionScratch& scratch);
 
 // -- AVX-512 VNNI ---------------------------------------------------------
 bool avx512KernelsCompiled();
@@ -66,5 +86,10 @@ void intGemmAvx512(const std::int8_t* xq, std::int64_t m, std::int64_t k,
 void quantizeAvx512(const float* src, std::int64_t n, float invScale, int lim,
                     std::int8_t* out);
 float absMaxAvx512(const float* src, std::int64_t n);
+void matmulF32Avx512(const float* a, std::int64_t m, std::int64_t k,
+                     const float* b, std::int64_t n, float* c);
+void attentionAvx512(const float* q, const float* k, const float* v,
+                     std::int64_t t, std::int64_t dim, std::int64_t heads,
+                     float* out, AttentionScratch& scratch);
 
 } // namespace create::simd::detail

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "hw/kernel_dispatch.hpp"
 #include "tensor/ops.hpp"
 
 namespace create::nn {
@@ -52,71 +53,12 @@ MultiHeadAttention::infer(const Tensor& x, ComputeContext& ctx)
     const Tensor k = k_.infer(x, ctx);
     const Tensor v = v_.infer(x, ctx);
     const std::int64_t t = x.dim(0);
-    const std::int64_t hd = headDim_;
-    const float invSqrt = 1.0f / std::sqrt(static_cast<float>(headDim_));
-
-    // Per-head score/context math runs on contiguous row-major slabs from
-    // the context workspace instead of strided per-element .at() walks:
-    //  - attnK holds K_h transposed (hd x t), so the score rows build as
-    //    d-ordered rank-1 updates that vectorize across keys,
-    //  - attnV holds V_h (t x hd), so context rows build as j-ordered
-    //    axpy updates that vectorize across head channels.
-    // Every output element still accumulates in the same ascending d / j
-    // order as the naive triple loop, so results are bit-identical (the
-    // golden-reference attention test asserts this).
-    GemmWorkspace& ws = ctx.ws;
-    const std::size_t slab = static_cast<std::size_t>(t * hd);
-    ws.attnK.resize(slab);
-    ws.attnV.resize(slab);
-    ws.attnScores.resize(static_cast<std::size_t>(t * t));
+    // Scores, softmax and context per head: the dispatched kernel
+    // (hw/kernel_dispatch.hpp), bit-identical on every tier, with the
+    // context's workspace as scratch.
     Tensor ctxOut({t, dim_});
-    for (int h = 0; h < heads_; ++h) {
-        const std::int64_t c0 = static_cast<std::int64_t>(h) * hd;
-        for (std::int64_t j = 0; j < t; ++j) {
-            const float* krow = k.data() + j * dim_ + c0;
-            const float* vrow = v.data() + j * dim_ + c0;
-            for (std::int64_t d = 0; d < hd; ++d)
-                ws.attnK[static_cast<std::size_t>(d * t + j)] = krow[d];
-            std::copy(vrow, vrow + hd,
-                      ws.attnV.begin() + static_cast<std::ptrdiff_t>(j * hd));
-        }
-        for (std::int64_t i = 0; i < t; ++i) {
-            // scores(i, :) = (q_h row i) @ K_h^T * invSqrt
-            float* srow = ws.attnScores.data() + i * t;
-            std::fill(srow, srow + t, 0.0f);
-            const float* qrow = q.data() + i * dim_ + c0;
-            for (std::int64_t d = 0; d < hd; ++d) {
-                const float qv = qrow[d];
-                const float* kt = ws.attnK.data() + d * t;
-                for (std::int64_t j = 0; j < t; ++j)
-                    srow[j] += qv * kt[j];
-            }
-            for (std::int64_t j = 0; j < t; ++j)
-                srow[j] *= invSqrt;
-            // Row softmax (same operation sequence as ops::softmaxRows).
-            float mx = -1e30f;
-            for (std::int64_t j = 0; j < t; ++j)
-                mx = std::max(mx, srow[j]);
-            float sum = 0.0f;
-            for (std::int64_t j = 0; j < t; ++j) {
-                const float e = std::exp(srow[j] - mx);
-                srow[j] = e;
-                sum += e;
-            }
-            const float inv = 1.0f / sum;
-            for (std::int64_t j = 0; j < t; ++j)
-                srow[j] *= inv;
-            // ctxOut(i, head slice) = attn(i, :) @ V_h
-            float* crow = ctxOut.data() + i * dim_ + c0;
-            std::fill(crow, crow + hd, 0.0f);
-            for (std::int64_t j = 0; j < t; ++j) {
-                const float av = srow[j];
-                const float* vrow = ws.attnV.data() + j * hd;
-                for (std::int64_t d = 0; d < hd; ++d)
-                    crow[d] += av * vrow[d];
-            }
-        }
-    }
+    simd::active().attention(q.data(), k.data(), v.data(), t, dim_, heads_,
+                             ctxOut.data(), ctx.ws.attn);
     // Score/context FLOPs on the vector path still cost energy.
     ctx.meter.addGemm(ctx.domain,
                       2.0 * static_cast<double>(t) * t * dim_, ctx.voltage());

@@ -5,9 +5,72 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "common/row_blocks.hpp"
 #include "tensor/ops.hpp"
 
 namespace create::nn {
+
+namespace {
+
+// The norms reduce each row in double precision, one add per element in
+// ascending j, which is a serial chain of dependent adds. Normalizing R
+// rows together runs R such chains side by side; every row keeps its own
+// ascending order, so each is bit-identical to normalizing it alone.
+
+/** RMSNorm of the R rows (width d) at x into out. */
+template <int R>
+void
+rmsNormRows(const float* x, std::int64_t d, const float* g, float* out)
+{
+    double s[R] = {};
+    for (std::int64_t j = 0; j < d; ++j)
+        #pragma GCC unroll 4
+        for (int r = 0; r < R; ++r)
+            s[r] += static_cast<double>(x[r * d + j]) * x[r * d + j];
+    for (int r = 0; r < R; ++r) {
+        const float rs = 1.0f /
+            std::sqrt(static_cast<float>(s[r] / static_cast<double>(d)) +
+                      1e-5f);
+        const float* xr = x + r * d;
+        float* o = out + r * d;
+        for (std::int64_t j = 0; j < d; ++j)
+            o[j] = xr[j] * rs * g[j];
+    }
+}
+
+/** LayerNorm of the R rows (width d) at x into out. */
+template <int R>
+void
+layerNormRows(const float* x, std::int64_t d, const float* g, const float* b,
+              float* out)
+{
+    double s[R] = {};
+    for (std::int64_t j = 0; j < d; ++j)
+        #pragma GCC unroll 4
+        for (int r = 0; r < R; ++r)
+            s[r] += x[r * d + j];
+    float mu[R];
+    for (int r = 0; r < R; ++r)
+        mu[r] = static_cast<float>(s[r] / static_cast<double>(d));
+    double v[R] = {};
+    for (std::int64_t j = 0; j < d; ++j)
+        #pragma GCC unroll 4
+        for (int r = 0; r < R; ++r) {
+            const double dd = x[r * d + j] - mu[r];
+            v[r] += dd * dd;
+        }
+    for (int r = 0; r < R; ++r) {
+        const float iv = 1.0f /
+            std::sqrt(static_cast<float>(v[r] / static_cast<double>(d)) +
+                      1e-5f);
+        const float* xr = x + r * d;
+        float* o = out + r * d;
+        for (std::int64_t j = 0; j < d; ++j)
+            o[j] = (xr[j] - mu[r]) * iv * g[j] + b[j];
+    }
+}
+
+} // namespace
 
 // --- Linear ---------------------------------------------------------------
 
@@ -130,17 +193,12 @@ Tensor
 RMSNorm::infer(const Tensor& x) const
 {
     const std::int64_t m = x.dim(0), d = x.dim(1);
-    const Tensor& g = g_->var.value();
+    const float* g = g_->var.value().data();
     Tensor out({m, d});
-    for (std::int64_t i = 0; i < m; ++i) {
-        double s = 0.0;
-        for (std::int64_t j = 0; j < d; ++j)
-            s += static_cast<double>(x.at(i, j)) * x.at(i, j);
-        const float r = 1.0f /
-            std::sqrt(static_cast<float>(s / static_cast<double>(d)) + 1e-5f);
-        for (std::int64_t j = 0; j < d; ++j)
-            out.at(i, j) = x.at(i, j) * r * g[j];
-    }
+    forRowBlocks(m, [&](std::int64_t i, auto rows) {
+        rmsNormRows<decltype(rows)::value>(x.data() + i * d, d, g,
+                                           out.data() + i * d);
+    });
     return out;
 }
 
@@ -162,24 +220,13 @@ Tensor
 LayerNorm::infer(const Tensor& x) const
 {
     const std::int64_t m = x.dim(0), d = x.dim(1);
-    const Tensor& g = g_->var.value();
-    const Tensor& b = b_->var.value();
+    const float* g = g_->var.value().data();
+    const float* b = b_->var.value().data();
     Tensor out({m, d});
-    for (std::int64_t i = 0; i < m; ++i) {
-        double s = 0.0;
-        for (std::int64_t j = 0; j < d; ++j)
-            s += x.at(i, j);
-        const float mu = static_cast<float>(s / static_cast<double>(d));
-        double v = 0.0;
-        for (std::int64_t j = 0; j < d; ++j) {
-            const double dd = x.at(i, j) - mu;
-            v += dd * dd;
-        }
-        const float iv = 1.0f /
-            std::sqrt(static_cast<float>(v / static_cast<double>(d)) + 1e-5f);
-        for (std::int64_t j = 0; j < d; ++j)
-            out.at(i, j) = (x.at(i, j) - mu) * iv * g[j] + b[j];
-    }
+    forRowBlocks(m, [&](std::int64_t i, auto rows) {
+        layerNormRows<decltype(rows)::value>(x.data() + i * d, d, g, b,
+                                             out.data() + i * d);
+    });
     return out;
 }
 

@@ -4,6 +4,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "hw/kernel_dispatch.hpp"
+
 namespace create::ops {
 
 namespace {
@@ -33,61 +35,9 @@ matmulAccum(const Tensor& a, const Tensor& b, Tensor& c)
     const std::int64_t m = a.dim(0), k = a.dim(1), n = b.dim(1);
     require(b.dim(0) == k && c.dim(0) == m && c.dim(1) == n,
             "matmulAccum: shape mismatch");
-    const float* pa = a.data();
-    const float* pb = b.data();
-    float* pc = c.data();
-    // Register-blocked per (row, K-tile, column-block): 8 partial sums
-    // live in registers instead of the accumulator row being stored and
-    // reloaded once per k. Each output element still accumulates in
-    // strictly ascending k order, so results are bit-identical to the
-    // naive i-k-j kernel.
-    constexpr std::int64_t kNr = 8;
-    constexpr std::int64_t kKc = 256;
-    for (std::int64_t i = 0; i < m; ++i) {
-        const float* arow = pa + i * k;
-        float* crow = pc + i * n;
-        for (std::int64_t k0 = 0; k0 < k; k0 += kKc) {
-            const std::int64_t kEnd = std::min(k, k0 + kKc);
-            std::int64_t j0 = 0;
-            for (; j0 + kNr <= n; j0 += kNr) {
-                float a0 = crow[j0 + 0], a1 = crow[j0 + 1];
-                float a2 = crow[j0 + 2], a3 = crow[j0 + 3];
-                float a4 = crow[j0 + 4], a5 = crow[j0 + 5];
-                float a6 = crow[j0 + 6], a7 = crow[j0 + 7];
-                for (std::int64_t kk = k0; kk < kEnd; ++kk) {
-                    const float av = arow[kk];
-                    if (av == 0.0f)
-                        continue;
-                    const float* brow = pb + kk * n + j0;
-                    a0 += av * brow[0];
-                    a1 += av * brow[1];
-                    a2 += av * brow[2];
-                    a3 += av * brow[3];
-                    a4 += av * brow[4];
-                    a5 += av * brow[5];
-                    a6 += av * brow[6];
-                    a7 += av * brow[7];
-                }
-                crow[j0 + 0] = a0;
-                crow[j0 + 1] = a1;
-                crow[j0 + 2] = a2;
-                crow[j0 + 3] = a3;
-                crow[j0 + 4] = a4;
-                crow[j0 + 5] = a5;
-                crow[j0 + 6] = a6;
-                crow[j0 + 7] = a7;
-            }
-            for (; j0 < n; ++j0) { // ragged column tail
-                float acc = crow[j0];
-                for (std::int64_t kk = k0; kk < kEnd; ++kk) {
-                    const float av = arow[kk];
-                    if (av != 0.0f)
-                        acc += av * pb[kk * n + j0];
-                }
-                crow[j0] = acc;
-            }
-        }
-    }
+    // The dispatched kernel (hw/kernel_dispatch.hpp): every tier keeps
+    // the scalar loop's ascending-k order and zero skip, bit for bit.
+    simd::active().matmulF32(a.data(), m, k, b.data(), n, c.data());
 }
 
 Tensor

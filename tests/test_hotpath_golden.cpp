@@ -1,12 +1,14 @@
 /** @file
  *  Golden bit-identity suite for the optimized inference hot path.
  *
- *  The optimized pipeline (runtime-dispatched SIMD intGemm/quantize,
- *  workspace-backed faultyLinear with fused dequant+bias+channel-scale,
- *  slab-packed attention) must produce the exact bit pattern of the naive
- *  reference kernels kept in this file: i-k-j integer GEMM, scalar
- *  nearbyint quantization, the two-pass dequantize-then-broadcast-bias
- *  epilogue, and the per-element .at() score/context attention loops.
+ *  The optimized pipeline (runtime-dispatched SIMD intGemm/quantize and
+ *  FP32 matmul/attention, workspace-backed faultyLinear with fused
+ *  dequant+bias+channel-scale, row-blocked norms) must produce the exact
+ *  bit pattern of the naive reference kernels kept in this file: i-k-j
+ *  integer GEMM, i-k-j FP32 matmul with the zero skip, scalar nearbyint
+ *  quantization, the two-pass dequantize-then-broadcast-bias epilogue,
+ *  the per-element .at() score/context attention loops, and the per-row
+ *  norm loops.
  *  Coverage spans every registry platform's real (calibrated,
  *  outlier-laden) planner and controller layers, both quant widths, and
  *  every Protection mode with injection both off and on (reference
@@ -25,6 +27,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -95,6 +98,96 @@ refIntGemm(const std::int8_t* xq, std::int64_t m, std::int64_t k,
             for (std::int64_t j = 0; j < n; ++j)
                 acc[i * n + j] += static_cast<std::int32_t>(xq[i * k + kk]) *
                                   static_cast<std::int32_t>(wq[kk * n + j]);
+}
+
+/** Naive i-k-j FP32 matmul: c += a @ b, skipping every zero a entry. */
+void
+refMatmulF32(const float* a, std::int64_t m, std::int64_t k, const float* b,
+             std::int64_t n, float* c)
+{
+    for (std::int64_t i = 0; i < m; ++i)
+        for (std::int64_t kk = 0; kk < k; ++kk) {
+            const float av = a[i * k + kk];
+            if (av == 0.0f)
+                continue;
+            for (std::int64_t j = 0; j < n; ++j)
+                c[i * n + j] += av * b[kk * n + j];
+        }
+}
+
+/** Naive per-element attention core over (t x dim) q, k, v. */
+Tensor
+refAttentionCore(const Tensor& q, const Tensor& k, const Tensor& v, int heads)
+{
+    const std::int64_t t = q.dim(0);
+    const std::int64_t dim = q.dim(1);
+    const std::int64_t headDim = dim / heads;
+    const float invSqrt = 1.0f / std::sqrt(static_cast<float>(headDim));
+    Tensor ctxOut({t, dim});
+    for (std::int64_t h = 0; h < heads; ++h) {
+        const std::int64_t c0 = h * headDim;
+        Tensor scores({t, t});
+        for (std::int64_t i = 0; i < t; ++i) {
+            for (std::int64_t j = 0; j < t; ++j) {
+                float s = 0.0f;
+                for (std::int64_t d = 0; d < headDim; ++d)
+                    s += q.at(i, c0 + d) * k.at(j, c0 + d);
+                scores.at(i, j) = s * invSqrt;
+            }
+        }
+        const Tensor attnW = ops::softmaxRows(scores);
+        for (std::int64_t i = 0; i < t; ++i) {
+            for (std::int64_t d = 0; d < headDim; ++d) {
+                float s = 0.0f;
+                for (std::int64_t j = 0; j < t; ++j)
+                    s += attnW.at(i, j) * v.at(j, c0 + d);
+                ctxOut.at(i, c0 + d) = s;
+            }
+        }
+    }
+    return ctxOut;
+}
+
+/** The per-row RMSNorm loop (one row's reduction at a time). */
+Tensor
+refRmsNorm(const Tensor& x, const Tensor& g)
+{
+    const std::int64_t m = x.dim(0), d = x.dim(1);
+    Tensor out({m, d});
+    for (std::int64_t i = 0; i < m; ++i) {
+        double s = 0.0;
+        for (std::int64_t j = 0; j < d; ++j)
+            s += static_cast<double>(x.at(i, j)) * x.at(i, j);
+        const float r = 1.0f /
+            std::sqrt(static_cast<float>(s / static_cast<double>(d)) + 1e-5f);
+        for (std::int64_t j = 0; j < d; ++j)
+            out.at(i, j) = x.at(i, j) * r * g[j];
+    }
+    return out;
+}
+
+/** The per-row LayerNorm loop (one row's reductions at a time). */
+Tensor
+refLayerNorm(const Tensor& x, const Tensor& g, const Tensor& b)
+{
+    const std::int64_t m = x.dim(0), d = x.dim(1);
+    Tensor out({m, d});
+    for (std::int64_t i = 0; i < m; ++i) {
+        double s = 0.0;
+        for (std::int64_t j = 0; j < d; ++j)
+            s += x.at(i, j);
+        const float mu = static_cast<float>(s / static_cast<double>(d));
+        double v = 0.0;
+        for (std::int64_t j = 0; j < d; ++j) {
+            const double dd = x.at(i, j) - mu;
+            v += dd * dd;
+        }
+        const float iv = 1.0f /
+            std::sqrt(static_cast<float>(v / static_cast<double>(d)) + 1e-5f);
+        for (std::int64_t j = 0; j < d; ++j)
+            out.at(i, j) = (x.at(i, j) - mu) * iv * g[j] + b[j];
+    }
+    return out;
 }
 
 /** Reference frozen state derived independently from a layer's observers. */
@@ -272,33 +365,7 @@ goldenCheckAttention(nn::MultiHeadAttention& attn, const Tensor& x,
     const Tensor q = attn.q().infer(x, ref);
     const Tensor k = attn.k().infer(x, ref);
     const Tensor v = attn.v().infer(x, ref);
-    const std::int64_t t = x.dim(0);
-    const int dim = attn.dim();
-    const int heads = attn.heads();
-    const int headDim = dim / heads;
-    const float invSqrt = 1.0f / std::sqrt(static_cast<float>(headDim));
-    Tensor ctxOut({t, dim});
-    for (int h = 0; h < heads; ++h) {
-        const std::int64_t c0 = static_cast<std::int64_t>(h) * headDim;
-        Tensor scores({t, t});
-        for (std::int64_t i = 0; i < t; ++i) {
-            for (std::int64_t j = 0; j < t; ++j) {
-                float s = 0.0f;
-                for (int d = 0; d < headDim; ++d)
-                    s += q.at(i, c0 + d) * k.at(j, c0 + d);
-                scores.at(i, j) = s * invSqrt;
-            }
-        }
-        const Tensor attnW = ops::softmaxRows(scores);
-        for (std::int64_t i = 0; i < t; ++i) {
-            for (int d = 0; d < headDim; ++d) {
-                float s = 0.0f;
-                for (std::int64_t j = 0; j < t; ++j)
-                    s += attnW.at(i, j) * v.at(j, c0 + d);
-                ctxOut.at(i, c0 + d) = s;
-            }
-        }
-    }
+    const Tensor ctxOut = refAttentionCore(q, k, v, attn.heads());
     const Tensor yr = attn.o().infer(ctxOut, ref);
     expectBitIdentical(yo, yr, what);
 }
@@ -387,6 +454,172 @@ TEST(HotPathGolden, IntGemmMatchesNaiveOnRaggedShapes)
                                   << " n=" << c.n;
         }
     });
+}
+
+TEST(HotPathGolden, MatmulF32MatchesNaiveOnRaggedShapes)
+{
+    // The calibration shapes the platforms run (projections over 3 and 14
+    // tokens, the VS predictor's convs over 576 and 144 im2col rows, a
+    // 1-row head), then a ragged grid: m on and off the 8-, 4-, 3-, 2-
+    // and 1-row blocks, n on and off every tier's vector width and
+    // column tile, k from 1. A holds 0.0 and -0.0 entries, and whole A
+    // columns are zero where B's row holds +-inf or NaN: the zero skip
+    // must keep those out of C. C starts at -0.0 (a zero row of A must
+    // leave it so) or at nonzero values, since the kernel accumulates.
+    struct Shape
+    {
+        int m, k, n;
+    };
+    std::vector<Shape> shapes = {{3, 48, 48},    {14, 64, 192},
+                                 {576, 27, 16},  {144, 144, 32},
+                                 {36, 288, 64},  {1, 128, 128}};
+    for (const int m : {1, 2, 3, 4, 5, 7, 8, 9, 13})
+        for (const int k : {1, 2, 5, 17, 33})
+            for (const int n : {1, 3, 4, 5, 7, 8, 9, 12, 15, 16, 17, 24, 31,
+                                32, 33, 48, 49, 63, 64, 65, 80})
+                shapes.push_back({m, k, n});
+    struct Case
+    {
+        Shape s;
+        bool negZeroC;
+        std::vector<float> a, b, c0, ref;
+    };
+    const float poison[] = {std::numeric_limits<float>::infinity(),
+                            -std::numeric_limits<float>::infinity(),
+                            std::numeric_limits<float>::quiet_NaN()};
+    std::vector<Case> cases;
+    Rng rng(23);
+    for (const Shape& sh : shapes)
+        for (const bool negZeroC : {true, false}) {
+            const std::int64_t m = sh.m, k = sh.k, n = sh.n;
+            Case c{sh, negZeroC, {}, {}, {}, {}};
+            c.a.resize(static_cast<std::size_t>(m * k));
+            c.b.resize(static_cast<std::size_t>(k * n));
+            c.c0.resize(static_cast<std::size_t>(m * n));
+            for (std::size_t i = 0; i < c.a.size(); ++i)
+                c.a[i] = i % 5 == 0   ? 0.0f
+                         : i % 7 == 0 ? -0.0f
+                                      : static_cast<float>(rng.normal());
+            for (auto& x : c.b)
+                x = static_cast<float>(rng.normal());
+            for (auto& x : c.c0)
+                x = negZeroC ? -0.0f : static_cast<float>(rng.normal());
+            for (std::int64_t kk = 1; kk < k; kk += 4) { // poisoned B rows
+                for (std::int64_t i = 0; i < m; ++i)
+                    c.a[static_cast<std::size_t>(i * k + kk)] =
+                        i % 2 ? -0.0f : 0.0f;
+                for (std::int64_t j = 0; j < n; ++j)
+                    c.b[static_cast<std::size_t>(kk * n + j)] =
+                        poison[(kk + j) % 3];
+            }
+            if (m > 1) // an all-zero A row
+                for (std::int64_t kk = 0; kk < k; ++kk)
+                    c.a[static_cast<std::size_t>((m - 1) * k + kk)] =
+                        kk % 2 ? -0.0f : 0.0f;
+            c.ref = c.c0;
+            refMatmulF32(c.a.data(), m, k, c.b.data(), n, c.ref.data());
+            cases.push_back(std::move(c));
+        }
+    forEachSupportedIsa([&] {
+        for (const Case& c : cases) {
+            std::vector<float> opt = c.c0;
+            simd::active().matmulF32(c.a.data(), c.s.m, c.s.k, c.b.data(),
+                                     c.s.n, opt.data());
+            EXPECT_EQ(0, std::memcmp(opt.data(), c.ref.data(),
+                                     opt.size() * sizeof(float)))
+                << "m=" << c.s.m << " k=" << c.s.k << " n=" << c.s.n
+                << " c0=" << (c.negZeroC ? "-0" : "nonzero");
+        }
+        // ops::matmul / matmulAccum are this entry behind a shape check.
+        const Tensor a = randomInput(3, 48, 24, 1.0f);
+        const Tensor b = randomInput(48, 48, 25, 1.0f);
+        Tensor ref({3, 48});
+        refMatmulF32(a.data(), 3, 48, b.data(), 48, ref.data());
+        expectBitIdentical(ops::matmul(a, b), ref, "ops::matmul");
+    });
+}
+
+TEST(HotPathGolden, AttentionCoreMatchesNaiveLoops)
+{
+    // The table's attention core against the per-element loops, at the
+    // models' token counts (3, 14) and across every tile boundary (t
+    // within and past one 4/8/16-lane vector and 8-row block), head dims
+    // 12 and 16. Repeated key rows tie scores at the row max; zero and
+    // -0.0 query rows make every score of their row 0. The output starts
+    // as NaN, so every element must be written; a warm call allocates
+    // nothing.
+    struct Case
+    {
+        std::int64_t t, hd;
+        Tensor q, k, v, ref;
+    };
+    constexpr int kHeads = 4;
+    std::vector<Case> cases;
+    std::uint64_t seed = 40;
+    for (const std::int64_t t : {1, 2, 3, 7, 14, 16, 17, 33})
+        for (const std::int64_t hd : {12, 16}) {
+            const std::int64_t dim = kHeads * hd;
+            Case c{t, hd, randomInput(t, dim, ++seed, 0.8f),
+                   randomInput(t, dim, ++seed, 0.8f),
+                   randomInput(t, dim, ++seed, 1.0f), Tensor()};
+            for (std::int64_t d = 0; d < dim; ++d) {
+                if (t >= 2)
+                    c.k.at(t - 1, d) = c.k.at(0, d); // tied scores
+                if (t >= 3)
+                    c.k.at(1, d) = c.k.at(0, d);
+                if (t >= 4) {
+                    c.q.at(1, d) = 0.0f; // zero scores
+                    c.q.at(2, d) = -0.0f;
+                }
+            }
+            c.ref = refAttentionCore(c.q, c.k, c.v, kHeads);
+            cases.push_back(std::move(c));
+        }
+    forEachSupportedIsa([&] {
+        for (const Case& c : cases) {
+            const std::string what = "t=" + std::to_string(c.t) +
+                                     " hd=" + std::to_string(c.hd);
+            simd::AttentionScratch scratch;
+            Tensor out = Tensor::full(
+                {c.t, kHeads * c.hd}, std::numeric_limits<float>::quiet_NaN());
+            simd::active().attention(c.q.data(), c.k.data(), c.v.data(), c.t,
+                                     kHeads * c.hd, kHeads, out.data(),
+                                     scratch);
+            expectBitIdentical(out, c.ref, what);
+            const std::uint64_t start = tAllocations;
+            simd::active().attention(c.q.data(), c.k.data(), c.v.data(), c.t,
+                                     kHeads * c.hd, kHeads, out.data(),
+                                     scratch);
+            EXPECT_EQ(tAllocations - start, 0u) << what;
+            expectBitIdentical(out, c.ref, what + " (warm)");
+        }
+    });
+}
+
+TEST(HotPathGolden, NormsMatchPerRowLoops)
+{
+    // LayerNorm and RMSNorm reduce up to 4 rows side by side; each row
+    // must still equal the one-row-at-a-time loops, at every row count
+    // around the 4-row block and both model widths.
+    std::uint64_t seed = 60;
+    for (const std::int64_t m : {1, 2, 3, 4, 5, 7, 14, 15})
+        for (const std::int64_t d : {48, 64}) {
+            const std::string what =
+                "m=" + std::to_string(m) + " d=" + std::to_string(d);
+            Tensor x = randomInput(m, d, ++seed, 1.5f);
+            for (std::int64_t i = 0; i < x.numel(); ++i)
+                x[i] += 0.25f; // a nonzero mean
+            nn::LayerNorm ln("golden.ln", static_cast<int>(d));
+            nn::RMSNorm rms("golden.rms", static_cast<int>(d));
+            ln.gain() = randomInput(1, d, ++seed, 0.5f).reshaped({d});
+            ln.bias() = randomInput(1, d, ++seed, 0.5f).reshaped({d});
+            rms.gain() = randomInput(1, d, ++seed, 0.5f).reshaped({d});
+            expectBitIdentical(ln.infer(x),
+                               refLayerNorm(x, ln.gain(), ln.bias()),
+                               "layernorm " + what);
+            expectBitIdentical(rms.infer(x), refRmsNorm(x, rms.gain()),
+                               "rmsnorm " + what);
+        }
 }
 
 TEST(HotPathGolden, RefreezeRepacksTheWeight)
